@@ -33,8 +33,7 @@ from .core_state import InterferometerState, StateDiagnostics, build_mixed_state
     build_pure_state, validate
 from .errors import ConfigError, DimensionError, DualityLabError, \
     NormalizationError, ValidationError
-from .fringes import MIN_PHASE_STEPS, SlitGeometry, intensity_profile, \
-    mei_weitz_scan, selective_decoherence_gram
+from .fringes import MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import UqsdProblem, build_povm, simulate, success_probability
 
@@ -238,6 +237,8 @@ def _parse_uqsd(node, errors: list[str]) -> UqsdParams | None:
     if trials is not None and trials <= 0:
         errors.append(f"uqsd.trials: must be positive, got {trials}")
     seed = _int_value(node["seed"], "uqsd.seed", errors)
+    if seed is not None and not 0 <= seed < 2**64:
+        errors.append(f"uqsd.seed: must lie in [0, 2**64), got {seed}")
     if len(errors) > preexisting:
         return None
     return UqsdParams(d1=d1, d2=d2, p1=p1, trials=trials, seed=seed)
@@ -366,7 +367,11 @@ def _timestamp() -> str | None:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError([f"SOURCE_DATE_EPOCH: not an integer Unix time in "
+                           f"range, got {epoch!r}"]) from None
 
 
 def _diagnostics_dict(diagnostics: StateDiagnostics) -> dict:
@@ -475,16 +480,20 @@ def build_uqsd_document(config: ScenarioConfig) -> dict:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Temp file plus rename; an OSError surfaces as a ConfigError naming
+    the path, since the path comes from the config or --output."""
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-dualitylab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-dualitylab-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError([f"cannot write {path}: {exc.strerror or exc}"]) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +509,6 @@ def _run_validate_only(config: ScenarioConfig) -> int:
             print(f"{check.name}: {status} (residual {_fmt(check.residual)}, "
                   f"tolerance {_fmt(check.tolerance)})")
         print(f"gram_rank: {diagnostics.gram_rank}")
-    elif config.mode == "meiweitz":
-        params = config.meiweitz
-        for g in params.gamma_grid:
-            gram = selective_decoherence_gram(params.n, params.decohered_paths, g)
-            min_eig = float(np.linalg.eigvalsh(gram)[0])
-            status = "ok" if min_eig >= -1e-10 else "FAIL (not PSD)"
-            print(f"g={_fmt(g)}: {status} (min eigenvalue {_fmt(min_eig)})")
     elif config.mode == "uqsd":
         params = config.uqsd
         problem = UqsdProblem(d1=params.d1, d2=params.d2,
@@ -557,9 +559,6 @@ def run(config: ScenarioConfig, output_override: str | None = None,
         scan = mei_weitz_scan(params.n, params.flipped_path,
                               params.decohered_paths, params.gamma_grid,
                               geometry)
-        for g in scan.skipped_gammas:
-            print(f"warning: skipped g={_fmt(g)} (constructed Gram matrix "
-                  "not PSD)", file=sys.stderr)
         _write_atomic(out_path, _meiweitz_csv(scan))
         print(f"wrote {out_path}: {scan.gamma_grid.size} grid points")
     elif config.mode == "uqsd":

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, PSD_TOL, build_mixed_state, \
-    effective_density
+from .core_state import InterferometerState, build_mixed_state, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import coherence, distinguishability
 from .pairwise import open_pair
@@ -92,10 +91,7 @@ class MeiWeitzScan:
 
     For every overlap magnitude g in ``gamma_grid`` the scan records the
     full-pattern visibility, the n-path coherence and the n-path
-    distinguishability.  Grid points whose constructed Gram matrix fails
-    the PSD check are dropped from all four vectors and listed in
-    ``skipped_gammas`` (cannot happen for the two-block overlap model used
-    here, but checked regardless).
+    distinguishability.
     """
 
     gamma_grid: np.ndarray
@@ -104,7 +100,6 @@ class MeiWeitzScan:
     distinguishabilities: np.ndarray
     flipped_path: int
     decohered_paths: tuple[int, ...]
-    skipped_gammas: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for name in ("gamma_grid", "visibilities", "coherences",
@@ -227,8 +222,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
     -1/sqrt(n) on ``flipped_path`` and +1/sqrt(n) elsewhere, the detector
     Gram matrix couples the decohered set to the rest with overlap g, and
     the full-pattern visibility, coherence and distinguishability are
-    recorded.  Grid points with a non-PSD Gram matrix are skipped and
-    reported.
+    recorded.
     """
     if n < 3:
         raise DimensionError(f"scan needs n >= 3 paths, got {n}", check="path_count")
@@ -254,22 +248,15 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
     amplitudes = flipped_symmetric_amplitudes(n, flipped_path)
     rho = np.outer(amplitudes, amplitudes.conj())
 
-    kept, vis, coh, dist, skipped = [], [], [], [], []
+    vis, coh, dist = [], [], []
     for g in grid:
         gram = selective_decoherence_gram(n, decohered, float(g))
-        min_eig = float(np.linalg.eigvalsh(gram)[0])
-        if min_eig < -PSD_TOL:
-            skipped.append(float(g))
-            continue
         state = build_mixed_state(rho, gram)
-        profile = intensity_profile(state, geometry)
-        kept.append(float(g))
-        vis.append(profile.visibility)
+        vis.append(intensity_profile(state, geometry).visibility)
         coh.append(coherence(state))
         dist.append(distinguishability(state))
 
     return MeiWeitzScan(
-        gamma_grid=np.asarray(kept), visibilities=np.asarray(vis),
+        gamma_grid=grid, visibilities=np.asarray(vis),
         coherences=np.asarray(coh), distinguishabilities=np.asarray(dist),
-        flipped_path=flipped_path, decohered_paths=decohered,
-        skipped_gammas=tuple(skipped))
+        flipped_path=flipped_path, decohered_paths=decohered)

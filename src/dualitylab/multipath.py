@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_state import InterferometerState
-from .errors import DarkPairError, ValidationError
-from .pairwise import DARK_PAIR_THRESHOLD, PairMetrics, pair_distinguishability, \
-    pair_metrics, pair_visibility
+from .errors import ValidationError
+from .pairwise import PairMetrics, _check_pairs, _pair_table, _PairTable, _reduced
 
 # Below this deviation of max|rho_ii - 1/n| the state counts as symmetric
 # (equal path probabilities).
@@ -67,14 +66,6 @@ class DualityReport:
     gram_rank: int
 
 
-def _path_probabilities(state: InterferometerState) -> np.ndarray:
-    return np.clip(np.diag(state.rho).real, 0.0, None)
-
-
-def _pair_indices(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def is_symmetric(state: InterferometerState) -> bool:
     """True when all path probabilities equal 1/n within SYMMETRY_TOL."""
     probs = np.diag(state.rho).real
@@ -94,64 +85,40 @@ def distinguishability(state: InterferometerState) -> float:
     Defined through the same pair sums that remain meaningful even when the
     detector states are linearly dependent (rank-deficient Gram matrix).
     """
-    probs = _path_probabilities(state)
+    probs = np.clip(np.diag(state.rho).real, 0.0, None)
     geo = np.sqrt(np.outer(probs, probs)) * np.abs(state.gram)
     off_diagonal = geo.sum() - np.trace(geo)
     return 1.0 - float(off_diagonal) / (state.n - 1)
 
 
-def coherence_from_pair_visibilities(state: InterferometerState) -> float:
-    """Aggregate the two-path visibilities back into the n-path coherence.
+def _aggregate(table: _PairTable, values: np.ndarray, n: int, symmetric: bool) -> float:
+    """Sum per-pair values into an n-path quantity: the plain pair average
+    for symmetric states (every weight is 2/n, so no pair is dark), else the
+    lit pairs weighted by rho_ii + rho_jj over (n-1)."""
+    if symmetric:
+        return 2.0 * math.fsum(values.tolist()) / (n * (n - 1))
+    lit = ~table.dark
+    return math.fsum((table.weight[lit] * values[lit]).tolist()) / (n - 1)
 
-    Symmetric states use the plain average over pairs scaled by n(n-1)/2;
-    general states weight each pair by its total probability rho_ii+rho_jj
-    over (n-1).  Dark pairs would carry weight ~0 and are skipped in the
-    weighted branch; in the symmetric branch they cannot occur (every path
-    carries 1/n) so DarkPairError propagates.
-    """
-    n = state.n
-    pairs = _pair_indices(n)
-    if is_symmetric(state):
-        total = 0.0
-        for i, j in pairs:
-            total += pair_visibility(state, i, j)
-        return 2.0 * total / (n * (n - 1))
-    probs = _path_probabilities(state)
-    total = 0.0
-    for i, j in pairs:
-        weight = state.rho[i, i].real + state.rho[j, j].real
-        if weight <= DARK_PAIR_THRESHOLD:
-            continue
-        total += weight * pair_visibility(state, i, j)
-    return total / (n - 1)
+
+def coherence_from_pair_visibilities(state: InterferometerState) -> float:
+    """Aggregate the two-path visibilities back into the n-path coherence."""
+    table = _pair_table(state)
+    return _aggregate(table, table.visibility, state.n, is_symmetric(state))
 
 
 def distinguishability_from_pairs(state: InterferometerState) -> float:
-    """Aggregate the two-path distinguishabilities into the n-path D_Q.
-
-    Mirrors coherence_from_pair_visibilities with D_ij in place of V_ij.
-    """
-    n = state.n
-    pairs = _pair_indices(n)
-    if is_symmetric(state):
-        total = 0.0
-        for i, j in pairs:
-            total += pair_distinguishability(state, i, j)
-        return 2.0 * total / (n * (n - 1))
-    total = 0.0
-    for i, j in pairs:
-        weight = state.rho[i, i].real + state.rho[j, j].real
-        if weight <= DARK_PAIR_THRESHOLD:
-            continue
-        total += weight * pair_distinguishability(state, i, j)
-    return total / (n - 1)
+    """Aggregate the two-path distinguishabilities into the n-path D_Q."""
+    table = _pair_table(state)
+    return _aggregate(table, table.distinguishability, state.n, is_symmetric(state))
 
 
 def duality_report(state: InterferometerState) -> DualityReport:
     """Evaluate every duality quantity and cross-check the aggregates.
 
-    The pair loop runs in ascending (i, j) order so sums are reproducible
-    bit-for-bit regardless of how callers parallelize around this function.
+    Every pair number comes from one pair table whose rows run in ascending
+    (i, j) order, and each pair sum is an exactly rounded ``math.fsum``, so
+    the report is deterministic per state.
     """
     n = state.n
     coh = coherence(state)
@@ -162,36 +129,31 @@ def duality_report(state: InterferometerState) -> DualityReport:
             f"coherence + distinguishability exceeds 1 by {-margin!r}",
             check="duality_bound", residual=margin, tolerance=DUALITY_TOL)
 
-    metrics: list[PairMetrics] = []
-    dark: list[tuple[int, int]] = []
-    for i, j in _pair_indices(n):
-        try:
-            metrics.append(pair_metrics(state, i, j))
-        except DarkPairError:
-            dark.append((i, j))
+    table = _pair_table(state)
+    lit = table._make(column[~table.dark] for column in table)
+    _check_pairs(lit.i, lit.j, lit.visibility, lit.distinguishability, lit.slack)
 
     symmetric = is_symmetric(state)
-    symmetric_sum = None
-    if symmetric:
-        symmetric_sum = 2.0 * math.fsum(
-            m.distinguishability + m.visibility for m in metrics) / (n * (n - 1))
-    weighted_sum = math.fsum(
-        m.pair_weight * (m.distinguishability + m.visibility) for m in metrics) / (n - 1)
-
-    coh_pairs = coherence_from_pair_visibilities(state)
-    dist_pairs = distinguishability_from_pairs(state)
-    for label, direct, aggregated in (("coherence", coh, coh_pairs),
-                                      ("distinguishability", dist, dist_pairs)):
+    for label, direct, values in (("coherence", coh, table.visibility),
+                                  ("distinguishability", dist, table.distinguishability)):
+        aggregated = _aggregate(table, values, n, symmetric)
         if abs(direct - aggregated) > AGGREGATION_TOL:
             raise ValidationError(
                 f"pairwise-aggregated {label} {aggregated!r} deviates from the "
                 f"direct value {direct!r}",
                 check=f"{label}_aggregation",
                 residual=abs(direct - aggregated), tolerance=AGGREGATION_TOL)
+    both = table.distinguishability + table.visibility
+    symmetric_sum = _aggregate(table, both, n, True) if symmetric else None
+    weighted_sum = _aggregate(table, both, n, False)
 
+    rows = zip(lit.i.tolist(), lit.j.tolist(), lit.visibility.tolist(),
+               lit.distinguishability.tolist(), lit.slack.tolist(), lit.weight.tolist(),
+               _reduced(state, lit.i, lit.j, lit.weight))
+    dark = zip(table.i[table.dark].tolist(), table.j[table.dark].tolist())
     rank = int(np.linalg.matrix_rank(state.gram, hermitian=True))
     return DualityReport(
         n=n, coherence=coh, distinguishability=dist,
-        pairwise=tuple(metrics), dark_pairs=tuple(dark),
+        pairwise=tuple(PairMetrics(*row) for row in rows), dark_pairs=tuple(dark),
         symmetric_sum_lhs=symmetric_sum, weighted_sum_lhs=weighted_sum,
         duality_margin=margin, is_symmetric=symmetric, gram_rank=rank)

@@ -25,8 +25,8 @@ Path indices are 0-based throughout the API (human-readable CLI tables are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +64,29 @@ class PairMetrics:
         object.__setattr__(self, "reduced", mat)
 
 
+class _PairTable(NamedTuple):
+    """Every pair i < j in ascending (i, j) order; V, D and slack of rows
+    flagged ``dark`` (weight <= DARK_PAIR_THRESHOLD) are placeholders."""
+
+    i: np.ndarray
+    j: np.ndarray
+    weight: np.ndarray
+    visibility: np.ndarray
+    distinguishability: np.ndarray
+    slack: np.ndarray
+    dark: np.ndarray
+
+
+def _pair_values(p_i, p_j, rho_ij, gram_ij, weight):
+    """(V, D, slack) of the formulas above, for scalars or arrays of pairs."""
+    abs_gram = abs(gram_ij)
+    root = (p_i * p_j) ** 0.5
+    visibility = 2.0 * abs(rho_ij) * abs_gram / weight
+    distinguishability = 1.0 - 2.0 * root * abs_gram / weight
+    slack = 2.0 * (root - abs(rho_ij)) * abs_gram / weight
+    return visibility, distinguishability, slack
+
+
 def _pair_parts(state: InterferometerState, i: int, j: int):
     """Shared index validation plus the raw entries a pair metric needs."""
     n = state.n
@@ -71,14 +94,51 @@ def _pair_parts(state: InterferometerState, i: int, j: int):
         raise IndexError(f"pair ({i}, {j}) out of range for {n} paths")
     if i == j:
         raise ValueError(f"pair indices must differ, got ({i}, {j})")
-    p_i = max(state.rho[i, i].real, 0.0)
-    p_j = max(state.rho[j, j].real, 0.0)
-    weight = state.rho[i, i].real + state.rho[j, j].real
+    p_i, p_j = state.rho[i, i].real, state.rho[j, j].real
+    weight = p_i + p_j
     if weight <= DARK_PAIR_THRESHOLD:
         raise DarkPairError(
             f"paths ({i}, {j}) carry total probability {weight!r}; "
             "the renormalized pair state is undefined")
-    return p_i, p_j, state.rho[i, j], state.gram[i, j], weight
+    return max(p_i, 0.0), max(p_j, 0.0), state.rho[i, j], state.gram[i, j], weight
+
+
+def _pair_table(state: InterferometerState) -> _PairTable:
+    """All pair metrics of ``state`` at once, through the same formulas."""
+    i, j = np.triu_indices(state.n, 1)
+    diag = state.rho.diagonal().real
+    probs = np.maximum(diag, 0.0)
+    weight = diag[i] + diag[j]
+    dark = weight <= DARK_PAIR_THRESHOLD
+    values = _pair_values(probs[i], probs[j], state.rho[i, j], state.gram[i, j],
+                          np.where(dark, 1.0, weight))
+    return _PairTable(i, j, weight, *values, dark)
+
+
+def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
+    """Raise for the first pair (scalars or arrays) whose closure or slack
+    leaves tolerance, which means the state escaped validation."""
+    closure = visibility + distinguishability + slack - 1.0
+    bad = (abs(closure) > IDENTITY_TOL) | (slack < SLACK_FLOOR)
+    if not np.any(bad):
+        return
+    k = np.flatnonzero(bad)[0]
+    i, j, closure, slack = (np.ravel(column)[k] for column in (i, j, closure, slack))
+    if abs(closure) > IDENTITY_TOL:
+        raise ValidationError(
+            f"pair ({i}, {j}): V + D + slack deviates from 1 by {float(closure)!r}",
+            check="pair_identity", residual=float(closure), tolerance=IDENTITY_TOL)
+    raise ValidationError(
+        f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor",
+        check="pair_slack", residual=float(slack), tolerance=SLACK_FLOOR)
+
+
+def _reduced(state: InterferometerState, i, j, weight) -> np.ndarray:
+    """Renormalized 2x2 pair state; index arrays give a stack of them."""
+    rho, gram = state.rho, state.gram
+    flat = np.array([rho[i, i], rho[i, j] * gram[i, j],
+                     rho[j, i] * gram[j, i], rho[j, j]]).T
+    return flat.reshape(flat.shape[:-1] + (2, 2)) / np.asarray(weight)[..., None, None]
 
 
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
@@ -90,19 +150,12 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
 
     Raises DarkPairError when rho_ii + rho_jj is numerically zero.
     """
-    _pair_parts(state, i, j)
-    weight = state.rho[i, i].real + state.rho[j, j].real
-    reduced = np.array(
-        [[state.rho[i, i], state.rho[i, j] * state.gram[i, j]],
-         [state.rho[j, i] * state.gram[j, i], state.rho[j, j]]],
-        dtype=complex) / weight
-    return reduced
+    return _reduced(state, i, j, _pair_parts(state, i, j)[-1])
 
 
 def pair_visibility(state: InterferometerState, i: int, j: int) -> float:
     """Fringe visibility of the two-path pattern from paths (i, j)."""
-    p_i, p_j, rho_ij, gram_ij, weight = _pair_parts(state, i, j)
-    return 2.0 * abs(rho_ij) * abs(gram_ij) / weight
+    return _pair_values(*_pair_parts(state, i, j))[0]
 
 
 def pair_distinguishability(state: InterferometerState, i: int, j: int) -> float:
@@ -112,8 +165,7 @@ def pair_distinguishability(state: InterferometerState, i: int, j: int) -> float
     optimal two-state unambiguous-discrimination success probability with
     priors rho_ii/(rho_ii+rho_jj) and rho_jj/(rho_ii+rho_jj).
     """
-    p_i, p_j, rho_ij, gram_ij, weight = _pair_parts(state, i, j)
-    return 1.0 - 2.0 * math.sqrt(p_i * p_j) * abs(gram_ij) / weight
+    return _pair_values(*_pair_parts(state, i, j))[1]
 
 
 def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
@@ -123,23 +175,8 @@ def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
     a violation would mean the input state escaped validation and is
     reported as a ValidationError.
     """
-    p_i, p_j, rho_ij, gram_ij, weight = _pair_parts(state, i, j)
-    abs_gram = abs(gram_ij)
-    visibility = 2.0 * abs(rho_ij) * abs_gram / weight
-    distinguishability = 1.0 - 2.0 * math.sqrt(p_i * p_j) * abs_gram / weight
-    slack = 2.0 * (math.sqrt(p_i * p_j) - abs(rho_ij)) * abs_gram / weight
-
-    closure = visibility + distinguishability + slack - 1.0
-    if abs(closure) > IDENTITY_TOL:
-        raise ValidationError(
-            f"pair ({i}, {j}): V + D + slack deviates from 1 by {closure!r}",
-            check="pair_identity", residual=closure, tolerance=IDENTITY_TOL)
-    if slack < SLACK_FLOOR:
-        raise ValidationError(
-            f"pair ({i}, {j}): negative slack {slack!r} implies a non-PSD minor",
-            check="pair_slack", residual=slack, tolerance=SLACK_FLOOR)
-
-    return PairMetrics(
-        i=i, j=j, visibility=visibility,
-        distinguishability=distinguishability, slack=slack,
-        pair_weight=weight, reduced=open_pair(state, i, j))
+    parts = _pair_parts(state, i, j)
+    visibility, distinguishability, slack = _pair_values(*parts)
+    _check_pairs(i, j, visibility, distinguishability, slack)
+    return PairMetrics(i, j, visibility, distinguishability, slack, parts[-1],
+                       _reduced(state, i, j, parts[-1]))

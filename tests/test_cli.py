@@ -264,6 +264,30 @@ class TestExitCodes:
         assert "runtime error" in capsys.readouterr().err
         assert not (tmp_path / "u.json").exists()
 
+    @pytest.mark.parametrize("case", ["negative_seed", "bad_epoch", "missing_dir"])
+    def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
+                                                         monkeypatch, case):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        out = tmp_path / "out.json"
+        if case == "negative_seed":
+            mode, config = "uqsd", {
+                "mode": "uqsd",
+                "uqsd": {"d1": [1, 0], "d2": [0.5, B], "p1": 0.5,
+                         "trials": 1000, "seed": -1},
+                "output": {"format": "json", "path": str(out)},
+            }
+        elif case == "bad_epoch":
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
+            mode, config = "report", report_config(tmp_path, out_name="out.json")
+        else:
+            out = tmp_path / "absent" / "out.json"
+            mode, config = "report", report_config(tmp_path, out_name="absent/out.json")
+        config_path = write_config(tmp_path, "c.json", config)
+        assert main([mode, "--config", config_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
 
 class TestFlags:
     def test_validate_only_writes_nothing(self, tmp_path, capsys):

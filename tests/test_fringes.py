@@ -186,7 +186,6 @@ class TestMeiWeitzScan:
         scan = mei_weitz_scan(4, 3, [3], grid)
         for g, visibility in zip(scan.gamma_grid, scan.visibilities):
             assert visibility == pytest.approx(flip_scan_visibility(g), abs=1e-6)
-        assert scan.skipped_gammas == ()
 
     def test_coherence_is_half_one_plus_g(self):
         grid = np.linspace(0.0, 1.0, 11)

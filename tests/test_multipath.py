@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from dualitylab import (
+    DarkPairError,
+    InterferometerState,
+    ValidationError,
     build_mixed_state,
     build_pure_state,
     coherence,
@@ -15,6 +18,7 @@ from dualitylab import (
     duality_report,
     is_symmetric,
     pair_distinguishability,
+    pair_metrics,
     pair_visibility,
 )
 from dualitylab.sampling import (
@@ -160,6 +164,37 @@ class TestDualityReport:
         assert not report.is_symmetric
         assert report.symmetric_sum_lhs is None
         assert report.weighted_sum_lhs == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sampler,seed", [(random_mixed_state, 1101),
+                                              (random_pure_state, 1102),
+                                              (random_symmetric_mixed_state, 1103)])
+    def test_rows_equal_pair_metrics(self, sampler, seed):
+        rng = np.random.default_rng(seed)
+        states = [sampler(int(rng.integers(2, 9)), rng) for _ in range(30)]
+        states.append(build_mixed_state(np.diag([0.0, 0.5, 0.0, 0.5]), np.ones((4, 4))))
+        for state in states:
+            report = duality_report(state)
+            for row in report.pairwise:
+                single = pair_metrics(state, row.i, row.j)
+                for name in ("visibility", "distinguishability", "slack", "pair_weight"):
+                    assert abs(getattr(row, name) - getattr(single, name)) <= 1e-15
+                np.testing.assert_allclose(row.reduced, single.reduced, rtol=0, atol=1e-15)
+            for i, j in report.dark_pairs:
+                with pytest.raises(DarkPairError):
+                    pair_metrics(state, i, j)
+            n = state.n
+            assert len(report.pairwise) + len(report.dark_pairs) == n * (n - 1) // 2
+
+    def test_negative_slack_is_rejected(self):
+        # |rho_01| = 1/2 exceeds sqrt(rho_00 rho_11) = 1/3: a non-PSD minor
+        # that only a hand-built state can carry past validation.
+        rho = np.diag([1.0 / 3.0] * 3).astype(complex)
+        rho[0, 1] = rho[1, 0] = 0.5
+        state = InterferometerState(rho=rho, gram=np.ones((3, 3)), purity_flag=False)
+        with pytest.raises(ValidationError) as info:
+            duality_report(state)
+        assert info.value.check == "pair_slack"
+        assert "pair (0, 1)" in str(info.value)
 
 
 class TestInvarianceProperties:
