@@ -33,7 +33,8 @@ from .core_state import InterferometerState, StateDiagnostics, build_mixed_state
     build_pure_state, validate
 from .errors import ConfigError, DimensionError, DualityLabError, \
     NormalizationError, ValidationError
-from .fringes import MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
+from .fringes import MAX_PHASE_STEPS, MIN_PHASE_STEPS, SlitGeometry, \
+    intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import UqsdProblem, build_povm, simulate, success_probability
 
@@ -288,9 +289,11 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             phase_step_count = _int_value(raw["geometry"]["phase_step_count"],
                                           "geometry.phase_step_count", errors)
-            if phase_step_count is not None and phase_step_count < MIN_PHASE_STEPS:
-                errors.append(f"geometry.phase_step_count: minimum is "
-                              f"{MIN_PHASE_STEPS}, got {phase_step_count}")
+            if phase_step_count is not None and not (
+                    MIN_PHASE_STEPS <= phase_step_count <= MAX_PHASE_STEPS):
+                errors.append(f"geometry.phase_step_count: must lie in "
+                              f"[{MIN_PHASE_STEPS}, {MAX_PHASE_STEPS}], "
+                              f"got {phase_step_count}")
 
     meiweitz = None
     if mode == "meiweitz":
@@ -501,6 +504,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _run_validate_only(config: ScenarioConfig) -> int:
+    if config.mode == "report":
+        _timestamp()  # raises on a bad SOURCE_DATE_EPOCH, as the real run does
     if config.mode in {"report", "pairs", "fringes"}:
         state = _build_state(config)
         diagnostics = validate(state)

@@ -12,12 +12,13 @@ trace(R) = 1.  Michelson contrast (I_max - I_min)/(I_max + I_min) over one
 period is therefore well defined and, for a two-slit pattern, equals
 2 |R_01| exactly.
 
-Extrema are located on a uniform sample grid and refined by a quadratic fit
-through the extremal sample and its two neighbours; at the default 2048
-samples this gives sub-1e-8 extremum error for the low-degree trigonometric
-polynomials produced here (cheaper than exact root finding in cos(delta),
-and far below the 1e-6 budget used when validating the extracted visibility
-against the closed-form pair visibility).
+Samples and extrema both come from the harmonics c_m = sum_{j-k=m} R_jk.
+Samples are one inverse FFT of the harmonics folded onto the grid, exact for
+any sample count.  The extrema are exact: I is evaluated at delta = 0 and at
+the angle of every root of z^(n-1) I'(z), a degree-2(n-1) polynomial in
+z = exp(i delta) whose unit-circle roots are the critical points (companion
+matrix rootfinding, J. P. Boyd, J. Eng. Math. 56, 2006).  Every point of the
+circle lies between the extrema, so off-circle roots need no tolerance.
 
 The selective-decoherence scan reproduces the anomaly seen when one path's
 phase is flipped by pi and only selected paths are decohered: the contrast
@@ -40,15 +41,13 @@ from .pairwise import open_pair
 
 DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
-# Curvature below this (relative to the sample magnitude) means the profile
-# is flat at sampling precision; quadratic refinement would divide noise by
-# noise, so the raw sample is returned instead.
-_FLAT_CURVATURE = 1e-13
+# Bounds the complex spectrum of one profile at 16 MiB.
+MAX_PHASE_STEPS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class SlitGeometry:
-    """Equally spaced slit layout and sampling resolution for one pattern."""
+    """Equally spaced slit layout and the sample count of one profile."""
 
     n: int
     phase_step_count: int = DEFAULT_PHASE_STEPS
@@ -57,10 +56,10 @@ class SlitGeometry:
         if self.n < 2:
             raise DimensionError(f"need at least 2 slits, got {self.n}",
                                  check="slit_count")
-        if self.phase_step_count < MIN_PHASE_STEPS:
+        if not MIN_PHASE_STEPS <= self.phase_step_count <= MAX_PHASE_STEPS:
             raise ValidationError(
-                f"phase_step_count {self.phase_step_count} below minimum "
-                f"{MIN_PHASE_STEPS}", check="phase_step_count")
+                f"phase_step_count {self.phase_step_count} outside "
+                f"[{MIN_PHASE_STEPS}, {MAX_PHASE_STEPS}]", check="phase_step_count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +67,8 @@ class FringeProfile:
     """Sampled intensity over one fringe period plus extracted contrast.
 
     Intensities are normalized so that the incoherent background (the mean
-    over one period) is 1.  ``i_max``/``i_min`` are the quadratic-refined
-    extrema; ``visibility`` is their Michelson ratio.
+    over one period) is 1.  ``i_max``/``i_min`` are the exact extrema of the
+    pattern, whatever the sample count; ``visibility`` is their Michelson ratio.
     """
 
     delta: np.ndarray
@@ -109,45 +108,53 @@ class MeiWeitzScan:
             object.__setattr__(self, name, arr)
 
 
-def _sample_pattern(matrix: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _harmonics(matrix: np.ndarray) -> np.ndarray:
+    """c[m + n - 1] = sum_{j-k=m} R_jk for m = -(n-1)..n-1."""
     n = matrix.shape[0]
-    delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    phases = np.exp(1j * np.outer(delta, np.arange(n)))
-    intensity = np.einsum("aj,jk,ak->a", phases, matrix, phases.conj()).real
-    return delta, intensity
+    offsets = np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
+    flat = matrix.ravel()
+    return (np.bincount(offsets, flat.real, 2 * n - 1)
+            + 1j * np.bincount(offsets, flat.imag, 2 * n - 1))
 
 
-def _refine_extremum(samples: np.ndarray, index: int) -> float:
-    """Quadratic fit through the extremal sample and its two (periodic)
-    neighbours; returns the fitted extremum value."""
-    y0 = samples[index]
-    y_prev = samples[index - 1]
-    y_next = samples[(index + 1) % samples.size]
-    curvature = y_prev - 2.0 * y0 + y_next
-    if abs(curvature) <= _FLAT_CURVATURE * max(1.0, abs(y0)):
-        return float(y0)
-    return float(y0 - (y_prev - y_next) ** 2 / (8.0 * curvature))
+def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
+    """I at delta = 2 pi a / count, with aliased harmonics folded in."""
+    n = (harmonics.size + 1) // 2
+    spectrum = np.zeros(count, dtype=complex)
+    np.add.at(spectrum, np.arange(1 - n, n) % count, harmonics)
+    return np.fft.ifft(spectrum, norm="forward").real
 
 
-def _extrema(intensity: np.ndarray) -> tuple[float, float]:
-    i_max = _refine_extremum(intensity, int(np.argmax(intensity)))
-    i_min = _refine_extremum(intensity, int(np.argmin(intensity)))
-    # The true pattern is pointwise non-negative; the parabola may undershoot
-    # a touching zero by O(h^4).
-    if i_min < 0.0 and intensity.min() >= -1e-12:
-        i_min = 0.0
-    return i_max, i_min
+def _extrema(harmonics: np.ndarray) -> tuple[float, float]:
+    """Exact (max, min) over one period of I(delta) = sum_m c_m e^{i m delta}."""
+    n = (harmonics.size + 1) // 2
+    m = np.arange(1 - n, n)
+    # Harmonics below eps^2 of the largest change I by far less than rounding,
+    # and a subnormal leading coefficient would overflow the companion matrix,
+    # so they count as zero.  The coefficients of z^(n-1) I'(z) go highest
+    # power first; with I' zero np.roots returns nothing, leaving delta = 0.
+    magnitude = np.abs(harmonics)
+    kept = np.where(magnitude > np.finfo(float).eps ** 2 * magnitude.max(), harmonics, 0.0)
+    roots = np.roots((1j * m * kept)[::-1])
+    delta = np.append(np.angle(roots), 0.0)
+    values = (np.exp(1j * np.outer(delta, m)) @ harmonics).real
+    return float(values.max()), float(values.min())
 
 
-def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
-    delta, intensity = _sample_pattern(matrix, count)
-    i_max, i_min = _extrema(intensity)
+def _michelson(i_max: float, i_min: float) -> float:
     total = i_max + i_min
     if total <= 0.0:
         raise DarkPatternError("pattern has zero total intensity")
-    visibility = (i_max - i_min) / total
-    return FringeProfile(delta=delta, intensity=intensity,
-                         i_max=i_max, i_min=i_min, visibility=visibility)
+    return (i_max - i_min) / total
+
+
+def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
+    harmonics = _harmonics(matrix)
+    i_max, i_min = _extrema(harmonics)
+    return FringeProfile(
+        delta=np.linspace(0.0, 2.0 * np.pi, count, endpoint=False),
+        intensity=_sample_pattern(harmonics, count),
+        i_max=i_max, i_min=i_min, visibility=_michelson(i_max, i_min))
 
 
 def intensity_profile(state: InterferometerState,
@@ -163,23 +170,19 @@ def intensity_profile(state: InterferometerState,
 
 
 def extract_visibility(profile: FringeProfile) -> float:
-    """Michelson contrast of a sampled profile, re-derived from its samples.
+    """Michelson contrast of the profile's stored extrema.
 
     Raises DarkPatternError when the profile carries no intensity.
     """
-    i_max, i_min = _extrema(profile.intensity)
-    total = i_max + i_min
-    if total <= 0.0:
-        raise DarkPatternError("pattern has zero total intensity")
-    return (i_max - i_min) / total
+    return _michelson(profile.i_max, profile.i_min)
 
 
 def two_slit_pattern(state: InterferometerState, i: int, j: int,
                      geometry: SlitGeometry | None = None) -> FringeProfile:
     """Pattern of the renormalized pair state on slit positions 0 and 1.
 
-    The extracted visibility of this profile reproduces the closed-form pair
-    visibility to well below 1e-6.
+    The visibility of this profile equals the closed-form pair visibility
+    2 |R_01| to rounding.
     """
     if geometry is None:
         geometry = SlitGeometry(n=2)
@@ -205,13 +208,8 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
     other pairs keep overlap 1.  Realizable with two detector vectors of
     real overlap g, hence PSD for g in [0, 1].
     """
-    decohered = frozenset(decohered_paths)
-    gram = np.ones((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j and ((i in decohered) != (j in decohered)):
-                gram[i, j] = g
-    return gram
+    inside = np.isin(np.arange(n), list(decohered_paths))
+    return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
 
 
 def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
@@ -222,7 +220,8 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
     -1/sqrt(n) on ``flipped_path`` and +1/sqrt(n) elsewhere, the detector
     Gram matrix couples the decohered set to the rest with overlap g, and
     the full-pattern visibility, coherence and distinguishability are
-    recorded.
+    recorded.  Each visibility comes from the exact extrema, so the
+    ``geometry`` is only checked against n; its sample count does not enter.
     """
     if n < 3:
         raise DimensionError(f"scan needs n >= 3 paths, got {n}", check="path_count")
@@ -238,9 +237,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
         raise ValueError("gamma_grid must be a non-empty 1-d sequence")
     if np.any((grid < 0.0) | (grid > 1.0)):
         raise ValueError("gamma_grid values must lie in [0, 1]")
-    if geometry is None:
-        geometry = SlitGeometry(n=n)
-    if geometry.n != n:
+    if geometry is not None and geometry.n != n:
         raise DimensionError(
             f"geometry has {geometry.n} slits but the scan has {n} paths",
             check="slit_count")
@@ -252,7 +249,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
     for g in grid:
         gram = selective_decoherence_gram(n, decohered, float(g))
         state = build_mixed_state(rho, gram)
-        vis.append(intensity_profile(state, geometry).visibility)
+        vis.append(_michelson(*_extrema(_harmonics(effective_density(state)))))
         coh.append(coherence(state))
         dist.append(distinguishability(state))
 

@@ -289,6 +289,34 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("mode,steps", [("fringes", 10**13), ("meiweitz", 2**20 + 1)])
+    def test_phase_step_count_above_cap(self, tmp_path, capsys, mode, steps):
+        config = {
+            "mode": mode,
+            "geometry": {"phase_step_count": steps},
+            "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+        }
+        if mode == "fringes":
+            config["state"] = {"amplitudes": [0.7071067811865476, 0.7071067811865476],
+                               "detectors": [[1, 0], [0.6, 0.8]]}
+        else:
+            config["meiweitz"] = {"n": 4, "flipped_path": 3, "decohered_paths": [3],
+                                  "gamma_grid": [0.5]}
+        config_path = write_config(tmp_path, "c.json", config)
+        assert main([mode, "--config", config_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: geometry.phase_step_count")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_validate_only_checks_source_date_epoch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        config_path = write_config(tmp_path, "c.json", report_config(tmp_path))
+        assert main(["report", "--config", config_path, "--validate-only"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: SOURCE_DATE_EPOCH")
+        assert "config valid" not in captured.out
+
 class TestFlags:
     def test_validate_only_writes_nothing(self, tmp_path, capsys):
         config_path = write_config(tmp_path, "c.json", report_config(tmp_path))

@@ -35,6 +35,12 @@ class TestSlitGeometry:
         with pytest.raises(ValidationError):
             SlitGeometry(n=2, phase_step_count=32)
 
+    def test_too_many_samples(self):
+        SlitGeometry(n=2, phase_step_count=2**20)
+        with pytest.raises(ValidationError) as info:
+            SlitGeometry(n=2, phase_step_count=2**20 + 1)
+        assert info.value.check == "phase_step_count"
+
     def test_too_few_slits(self):
         with pytest.raises(DimensionError):
             SlitGeometry(n=1)
@@ -93,6 +99,99 @@ class TestIntensityProfile:
         assert profile.visibility == pytest.approx(expected, abs=1e-12)
 
 
+def direct_pattern(rho, delta):
+    """I(delta) = sum_jk R_jk exp(i (j - k) delta), summed term by term."""
+    phases = np.exp(1j * np.outer(delta, np.arange(rho.shape[0])))
+    return np.einsum("aj,jk,ak->a", phases, rho, phases.conj()).real
+
+
+def real_state(n, rng):
+    """Mixed state with real rho and real Gram matrix, so I is a cosine series."""
+    factor = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    rho = factor @ factor.T
+    detectors = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    detectors /= np.linalg.norm(detectors, axis=1, keepdims=True)
+    return build_mixed_state(rho / np.trace(rho), detectors @ detectors.T)
+
+
+class TestHarmonicSampling:
+    def test_samples_equal_direct_sum(self):
+        rng = np.random.default_rng(401)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            state = random_mixed_state(n, rng)
+            profile = intensity_profile(state)
+            np.testing.assert_allclose(
+                profile.intensity, direct_pattern(state.rho * state.gram, profile.delta),
+                rtol=0.0, atol=1e-12)
+
+    def test_aliased_harmonics_are_folded(self):
+        # Harmonics up to 39 on a 64-point grid: 8..39 alias onto lower ones.
+        state = random_mixed_state(40, np.random.default_rng(409))
+        profile = intensity_profile(state, SlitGeometry(n=40, phase_step_count=64))
+        np.testing.assert_allclose(
+            profile.intensity, direct_pattern(state.rho * state.gram, profile.delta),
+            rtol=0.0, atol=1e-12)
+
+
+class TestExactExtrema:
+    def test_fivefold_critical_point(self):
+        # (1, 3, 3, 1)/sqrt(20) with full overlap: I = (2 + 2 cos delta)^3 / 20,
+        # whose derivative has a 5-fold zero at delta = pi.
+        state = build_pure_state(np.array([1.0, 3.0, 3.0, 1.0]) / np.sqrt(20.0),
+                                 [(1, 0)] * 4)
+        profile = intensity_profile(state)
+        assert abs(profile.i_max - 3.2) <= 1e-12
+        assert abs(profile.i_min) <= 1e-12
+        assert abs(profile.visibility - 1.0) <= 1e-12
+
+    def test_dark_outer_paths_lower_the_degree(self):
+        # Slits 0 and 4 carry nothing: the pattern is the three-slit
+        # 1 - (4/3)cos(delta) + (2/3)cos(2 delta).
+        state = build_pure_state([0.0, ISQ3, -ISQ3, ISQ3, 0.0], [(1, 0)] * 5)
+        profile = intensity_profile(state)
+        i_max, i_min = cosine_series_extrema([1.0, -4.0 / 3.0, 2.0 / 3.0])
+        assert abs(profile.i_max - i_max) <= 1e-12
+        assert abs(profile.i_min - i_min) <= 1e-12
+        assert abs(profile.visibility - michelson(i_max, i_min)) <= 1e-12
+
+    def test_flat_pattern(self):
+        profile = intensity_profile(build_mixed_state(np.eye(5) / 5, np.ones((5, 5))))
+        assert profile.i_max == profile.i_min == 1.0
+        assert profile.visibility == 0.0
+
+    def test_subnormal_harmonic(self):
+        rho = np.eye(5, dtype=complex) / 5
+        rho[0, 4] = rho[4, 0] = 1e-320
+        state = build_mixed_state(rho, np.ones((5, 5)))
+        assert intensity_profile(state).visibility == 0.0
+        rho[1, 2] = rho[2, 1] = 0.1
+        state = build_mixed_state(rho, np.ones((5, 5)))
+        assert abs(intensity_profile(state).visibility - 0.2) <= 1e-12
+
+    def test_real_patterns_against_oracle(self):
+        rng = np.random.default_rng(419)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            state = real_state(n, rng)
+            effective = (state.rho * state.gram).real
+            cosines = [np.trace(effective)] + [2.0 * np.trace(effective, k)
+                                               for k in range(1, n)]
+            i_max, i_min = cosine_series_extrema(cosines)
+            profile = intensity_profile(state)
+            assert abs(profile.i_max - i_max) <= 1e-12
+            assert abs(profile.i_min - i_min) <= 1e-12
+
+    def test_visibility_independent_of_sample_count(self):
+        rng = np.random.default_rng(421)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            state = random_mixed_state(n, rng)
+            profiles = [intensity_profile(state, SlitGeometry(n=n, phase_step_count=count))
+                        for count in (64, 2048, 32768)]
+            assert len({(p.i_max, p.i_min, p.visibility) for p in profiles}) == 1
+
+
 class TestExtractVisibility:
     def test_flat_profile(self):
         delta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -111,18 +210,15 @@ class TestExtractVisibility:
         with pytest.raises(DarkPatternError):
             extract_visibility(profile)
 
-    def test_refinement_beats_raw_sampling(self):
-        # A deliberately coarse off-grid cosine: the refined extraction must
-        # land far closer than the raw sample maximum does.
-        delta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        intensity = 1.0 + 0.5 * np.cos(delta - 0.7)
-        profile = FringeProfile(delta=delta, intensity=intensity,
-                                i_max=float(intensity.max()),
-                                i_min=float(intensity.min()), visibility=0.0)
-        extracted = extract_visibility(profile)
-        raw = michelson(float(intensity.max()), float(intensity.min()))
-        assert abs(extracted - 0.5) < abs(raw - 0.5)
-        assert extracted == pytest.approx(0.5, abs=1e-5)
+    def test_off_grid_two_slit_is_exact(self):
+        # I = 1 + 0.5 cos(delta - 0.7): no sample of the coarse grid hits an
+        # extremum, yet the extracted contrast is exact.
+        off = 0.25 * np.exp(-0.7j)
+        state = build_mixed_state([[0.5, np.conj(off)], [off, 0.5]], np.ones((2, 2)))
+        profile = intensity_profile(state, SlitGeometry(n=2, phase_step_count=64))
+        assert abs(extract_visibility(profile) - 0.5) <= 1e-12
+        assert abs(profile.i_max - 1.5) <= 1e-12
+        assert abs(profile.i_min - 0.5) <= 1e-12
 
 
 class TestTwoSlitOracle:
@@ -238,10 +334,10 @@ class TestMeiWeitzScan:
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))
 
 
-class TestRefinementAccuracy:
+class TestExactExtremaAccuracy:
     def test_two_slit_visibility_error_budget(self):
-        # Randomized phases and contrasts: the refined extraction stays well
-        # inside the 1e-6 budget at the default 2048 samples.
+        # Randomized phases and contrasts: the exact extrema reproduce
+        # 2 |R_01| to rounding at the default 2048 samples.
         rng = np.random.default_rng(313)
         worst = 0.0
         for _ in range(200):
@@ -256,4 +352,4 @@ class TestRefinementAccuracy:
             profile = intensity_profile(state)
             expected = 2.0 * abs(rho[0, 1])
             worst = max(worst, abs(profile.visibility - expected))
-        assert worst <= 1e-8
+        assert worst <= 1e-12
