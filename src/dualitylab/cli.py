@@ -33,8 +33,8 @@ from .core_state import InterferometerState, StateDiagnostics, build_mixed_state
     build_pure_state, validate
 from .errors import ConfigError, DimensionError, DualityLabError, \
     NormalizationError, ValidationError
-from .fringes import MAX_PHASE_STEPS, MIN_PHASE_STEPS, SlitGeometry, \
-    intensity_profile, mei_weitz_scan
+from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MIN_PHASE_STEPS, \
+    SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import UqsdProblem, build_povm, simulate, success_probability
 
@@ -72,7 +72,7 @@ class ScenarioConfig:
     detectors: np.ndarray | None
     rho: np.ndarray | None
     gram: np.ndarray | None
-    phase_step_count: int | None
+    phase_step_count: int
     meiweitz: MeiWeitzParams | None
     uqsd: UqsdParams | None
     output_format: str
@@ -88,11 +88,14 @@ def _is_number(value) -> bool:
 
 
 def _complex_value(node, path: str, errors: list[str]) -> complex:
-    if _is_number(node):
-        return complex(node, 0.0)
-    if (isinstance(node, list) and len(node) == 2
-            and all(_is_number(part) for part in node)):
-        return complex(node[0], node[1])
+    parts = [node, 0.0] if _is_number(node) else node
+    if (isinstance(parts, list) and len(parts) == 2
+            and all(_is_number(part) for part in parts)):
+        try:
+            return complex(*parts)
+        except OverflowError as exc:
+            errors.append(f"{path}: {exc}")
+            return complex(0.0)
     errors.append(f"{path}: expected a number or [re, im] pair, got {node!r}")
     return complex(0.0)
 
@@ -134,7 +137,11 @@ def _int_value(node, path: str, errors: list[str]) -> int | None:
 
 def _real_value(node, path: str, errors: list[str]) -> float | None:
     if _is_number(node):
-        return float(node)
+        try:
+            return float(node)
+        except OverflowError as exc:
+            errors.append(f"{path}: {exc}")
+            return None
     errors.append(f"{path}: expected a number, got {node!r}")
     return None
 
@@ -257,6 +264,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the recursion limit, or an integer literal
+        # longer than int's digit limit.
+        raise ConfigError([f"cannot parse document: {exc}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be a JSON object"])
 
@@ -279,9 +290,9 @@ def parse_config(text: str) -> ScenarioConfig:
     elif "state" in raw:
         errors.append(f"state: not used in mode '{mode}' (it builds its own states)")
 
-    phase_step_count = None
+    phase_step_count = DEFAULT_PHASE_STEPS
     if "geometry" in raw:
-        if mode not in {"fringes", "meiweitz"}:
+        if mode != "fringes":
             errors.append(f"geometry: not used in mode '{mode}'")
         elif not isinstance(raw["geometry"], dict) or set(raw["geometry"]) != {"phase_step_count"}:
             errors.append("geometry: expected an object with exactly the key "
@@ -448,12 +459,17 @@ def _meiweitz_csv(scan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_uqsd_document(config: ScenarioConfig) -> dict:
-    params = config.uqsd
+def _uqsd_problem(params: UqsdParams):
+    """The configured two-state problem and its analytic optimum."""
     problem = UqsdProblem(d1=params.d1, d2=params.d2,
                           p1=params.p1, p2=1.0 - params.p1)
+    return problem, success_probability(problem.p1, problem.p2, abs(problem.overlap))
+
+
+def build_uqsd_document(config: ScenarioConfig) -> dict:
+    params = config.uqsd
+    problem, analytic = _uqsd_problem(params)
     overlap = abs(problem.overlap)
-    analytic = success_probability(problem.p1, problem.p2, overlap)
     povm = build_povm(problem)
     result = simulate(problem, povm, params.trials, params.seed)
     return {
@@ -515,10 +531,7 @@ def _run_validate_only(config: ScenarioConfig) -> int:
                   f"tolerance {_fmt(check.tolerance)})")
         print(f"gram_rank: {diagnostics.gram_rank}")
     elif config.mode == "uqsd":
-        params = config.uqsd
-        problem = UqsdProblem(d1=params.d1, d2=params.d2,
-                              p1=params.p1, p2=1.0 - params.p1)
-        analytic = success_probability(problem.p1, problem.p2, abs(problem.overlap))
+        problem, analytic = _uqsd_problem(config.uqsd)
         print(f"overlap magnitude: {_fmt(abs(problem.overlap))}")
         print(f"in optimal regime: {analytic.in_optimal_regime}")
     print("config valid")
@@ -550,20 +563,14 @@ def run(config: ScenarioConfig, output_override: str | None = None,
         print(f"wrote {out_path}: {state.n * (state.n - 1) // 2 - len(dark_pairs)} pairs")
     elif config.mode == "fringes":
         state = _build_state(config)
-        steps = config.phase_step_count
-        geometry = SlitGeometry(n=state.n) if steps is None \
-            else SlitGeometry(n=state.n, phase_step_count=steps)
+        geometry = SlitGeometry(n=state.n, phase_step_count=config.phase_step_count)
         profile = intensity_profile(state, geometry)
         _write_atomic(out_path, _fringes_csv(profile))
         print(f"wrote {out_path}: visibility={_fmt(profile.visibility)}")
     elif config.mode == "meiweitz":
         params = config.meiweitz
-        steps = config.phase_step_count
-        geometry = SlitGeometry(n=params.n) if steps is None \
-            else SlitGeometry(n=params.n, phase_step_count=steps)
         scan = mei_weitz_scan(params.n, params.flipped_path,
-                              params.decohered_paths, params.gamma_grid,
-                              geometry)
+                              params.decohered_paths, params.gamma_grid)
         _write_atomic(out_path, _meiweitz_csv(scan))
         print(f"wrote {out_path}: {scan.gamma_grid.size} grid points")
     elif config.mode == "uqsd":
@@ -600,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     try:

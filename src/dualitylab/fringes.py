@@ -212,16 +212,16 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
     return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
 
 
-def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
-                   geometry: SlitGeometry | None = None) -> MeiWeitzScan:
+def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
+                   gamma_grid) -> MeiWeitzScan:
     """Scan overlap magnitudes for the phase-flip/selective-decoherence setup.
 
     For each g the quanton is prepared pure and symmetric with amplitude
     -1/sqrt(n) on ``flipped_path`` and +1/sqrt(n) elsewhere, the detector
     Gram matrix couples the decohered set to the rest with overlap g, and
     the full-pattern visibility, coherence and distinguishability are
-    recorded.  Each visibility comes from the exact extrema, so the
-    ``geometry`` is only checked against n; its sample count does not enter.
+    recorded.  Each visibility comes from the exact extrema, so the scan
+    samples no pattern and takes no geometry.
     """
     if n < 3:
         raise DimensionError(f"scan needs n >= 3 paths, got {n}", check="path_count")
@@ -237,10 +237,6 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths, gamma_grid,
         raise ValueError("gamma_grid must be a non-empty 1-d sequence")
     if np.any((grid < 0.0) | (grid > 1.0)):
         raise ValueError("gamma_grid values must lie in [0, 1]")
-    if geometry is not None and geometry.n != n:
-        raise DimensionError(
-            f"geometry has {geometry.n} slits but the scan has {n} paths",
-            check="slit_count")
 
     amplitudes = flipped_symmetric_amplitudes(n, flipped_path)
     rho = np.outer(amplitudes, amplitudes.conj())

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core_state import InterferometerState
 from .errors import ValidationError
-from .pairwise import PairMetrics, _check_pairs, _pair_table, _PairTable, _reduced
+from .pairwise import PairMetrics, _check_pairs, _pair_table, _PairTable
 
 # Below this deviation of max|rho_ii - 1/n| the state counts as symmetric
 # (equal path probabilities).
@@ -148,8 +148,7 @@ def duality_report(state: InterferometerState) -> DualityReport:
     weighted_sum = _aggregate(table, both, n, False)
 
     rows = zip(lit.i.tolist(), lit.j.tolist(), lit.visibility.tolist(),
-               lit.distinguishability.tolist(), lit.slack.tolist(), lit.weight.tolist(),
-               _reduced(state, lit.i, lit.j, lit.weight))
+               lit.distinguishability.tolist(), lit.slack.tolist(), lit.weight.tolist())
     dark = zip(table.i[table.dark].tolist(), table.j[table.dark].tolist())
     rank = int(np.linalg.matrix_rank(state.gram, hermitian=True))
     return DualityReport(

@@ -46,8 +46,8 @@ class PairMetrics:
     """Visibility/distinguishability bundle for one pair of open paths.
 
     ``pair_weight`` is rho_ii + rho_jj, the probability that the quanton is
-    found in either path; ``reduced`` is the renormalized 2x2 physical state
-    (detector overlaps included in the off-diagonals).
+    found in either path.  The renormalized 2x2 pair state behind these
+    numbers comes from ``open_pair``.
     """
 
     i: int
@@ -56,12 +56,6 @@ class PairMetrics:
     distinguishability: float
     slack: float
     pair_weight: float
-    reduced: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.reduced, dtype=complex, copy=True)
-        mat.setflags(write=False)
-        object.__setattr__(self, "reduced", mat)
 
 
 class _PairTable(NamedTuple):
@@ -133,14 +127,6 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
         check="pair_slack", residual=float(slack), tolerance=SLACK_FLOOR)
 
 
-def _reduced(state: InterferometerState, i, j, weight) -> np.ndarray:
-    """Renormalized 2x2 pair state; index arrays give a stack of them."""
-    rho, gram = state.rho, state.gram
-    flat = np.array([rho[i, i], rho[i, j] * gram[i, j],
-                     rho[j, i] * gram[j, i], rho[j, j]]).T
-    return flat.reshape(flat.shape[:-1] + (2, 2)) / np.asarray(weight)[..., None, None]
-
-
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     """Renormalized 2x2 state of paths (i, j) with all other paths blocked.
 
@@ -150,7 +136,10 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
 
     Raises DarkPairError when rho_ii + rho_jj is numerically zero.
     """
-    return _reduced(state, i, j, _pair_parts(state, i, j)[-1])
+    weight = _pair_parts(state, i, j)[-1]
+    rho, gram = state.rho, state.gram
+    return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
+                     [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
 
 
 def pair_visibility(state: InterferometerState, i: int, j: int) -> float:
@@ -178,5 +167,4 @@ def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
     parts = _pair_parts(state, i, j)
     visibility, distinguishability, slack = _pair_values(*parts)
     _check_pairs(i, j, visibility, distinguishability, slack)
-    return PairMetrics(i, j, visibility, distinguishability, slack, parts[-1],
-                       _reduced(state, i, j, parts[-1]))
+    return PairMetrics(i, j, visibility, distinguishability, slack, parts[-1])

@@ -7,6 +7,7 @@ import pytest
 
 from dualitylab import ConfigError, coherence, build_pure_state
 from dualitylab.cli import ReportDocument, main, parse_config
+from dualitylab.fringes import DEFAULT_PHASE_STEPS
 
 A3 = 0.5773502691896258        # 1/sqrt(3)
 B = 0.8660254037844386         # sqrt(3)/2
@@ -42,7 +43,18 @@ class TestParseConfig:
         assert config.mode == "fringes"
         assert config.amplitudes.shape == (2,)
         assert config.detectors.shape == (2, 2)
-        assert config.phase_step_count is None
+        assert config.phase_step_count == DEFAULT_PHASE_STEPS
+
+    def test_huge_integers_are_aggregated_errors(self):
+        huge = "1" + "0" * 400
+        text = json.dumps({
+            "mode": "uqsd",
+            "uqsd": {"d1": [1, 0], "d2": [0.5, B], "p1": 0.5, "trials": 10, "seed": 1},
+            "output": {"format": "json", "path": "u.json"},
+        }).replace('"p1": 0.5', f'"p1": {huge}').replace('"d1": [1,', f'"d1": [[{huge}, 0],')
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert [m.split(":")[0] for m in info.value.messages] == ["uqsd.d1[0]", "uqsd.p1"]
 
     def test_complex_pairs_parse(self):
         config = parse_config(json.dumps({
@@ -264,7 +276,9 @@ class TestExitCodes:
         assert "runtime error" in capsys.readouterr().err
         assert not (tmp_path / "u.json").exists()
 
-    @pytest.mark.parametrize("case", ["negative_seed", "bad_epoch", "missing_dir"])
+    @pytest.mark.parametrize("case", ["negative_seed", "bad_epoch", "missing_dir",
+                                      "not_utf8", "deep_nesting", "huge_integer",
+                                      "over_digit_limit"])
     def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
                                                          monkeypatch, case):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -279,10 +293,24 @@ class TestExitCodes:
         elif case == "bad_epoch":
             monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
             mode, config = "report", report_config(tmp_path, out_name="out.json")
-        else:
+        elif case == "missing_dir":
             out = tmp_path / "absent" / "out.json"
             mode, config = "report", report_config(tmp_path, out_name="absent/out.json")
+        else:
+            mode, config = "report", report_config(tmp_path, out_name="out.json")
         config_path = write_config(tmp_path, "c.json", config)
+        text = (tmp_path / "c.json").read_text(encoding="utf-8")
+        if case == "not_utf8":
+            (tmp_path / "c.json").write_bytes(b"\xff" + text.encode())
+        elif case == "deep_nesting":
+            (tmp_path / "c.json").write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "huge_integer":
+            # An integer literal too large for a float, as an amplitude.
+            huge = "1" + "0" * 400
+            (tmp_path / "c.json").write_text(text.replace(str(A3), huge, 1))
+        elif case == "over_digit_limit":
+            # Longer than the 4300 digits int() accepts from a string.
+            (tmp_path / "c.json").write_text(text.replace(str(A3), "1" * 5000, 1))
         assert main([mode, "--config", config_path]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
@@ -305,7 +333,10 @@ class TestExitCodes:
         config_path = write_config(tmp_path, "c.json", config)
         assert main([mode, "--config", config_path]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: geometry.phase_step_count")
+        # geometry is a fringes-only key: the scan samples no pattern.
+        expected = ("config error: geometry.phase_step_count" if mode == "fringes"
+                    else "config error: geometry: not used in mode 'meiweitz'")
+        assert len(err) == 1 and err[0].startswith(expected)
         assert not (tmp_path / "out.csv").exists()
 
     def test_validate_only_checks_source_date_epoch(self, tmp_path, capsys, monkeypatch):

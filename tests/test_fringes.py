@@ -330,7 +330,8 @@ class TestMeiWeitzScan:
             mei_weitz_scan(4, 0, [5], [0.5])
         with pytest.raises(ValueError):
             mei_weitz_scan(4, 0, [1], [1.5])
-        with pytest.raises(DimensionError):
+        # The scan takes no geometry: it samples no pattern.
+        with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))
 
 

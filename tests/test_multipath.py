@@ -178,7 +178,6 @@ class TestDualityReport:
                 single = pair_metrics(state, row.i, row.j)
                 for name in ("visibility", "distinguishability", "slack", "pair_weight"):
                     assert abs(getattr(row, name) - getattr(single, name)) <= 1e-15
-                np.testing.assert_allclose(row.reduced, single.reduced, rtol=0, atol=1e-15)
             for i, j in report.dark_pairs:
                 with pytest.raises(DarkPairError):
                     pair_metrics(state, i, j)
