@@ -33,10 +33,10 @@ from .core_state import InterferometerState, StateDiagnostics, build_mixed_state
     build_pure_state, validate
 from .errors import ConfigError, DimensionError, DualityLabError, \
     NormalizationError, ValidationError
-from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MIN_PHASE_STEPS, \
-    SlitGeometry, intensity_profile, mei_weitz_scan
+from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MAX_SCAN_PATHS, \
+    MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
-from .uqsd import UqsdProblem, build_povm, simulate, success_probability
+from .uqsd import MAX_TRIALS, UqsdProblem, build_povm, simulate, success_probability
 
 MODES = ("report", "pairs", "fringes", "meiweitz", "uqsd")
 FORMAT_BY_MODE = {"report": "json", "pairs": "csv", "fringes": "csv",
@@ -185,8 +185,8 @@ def _parse_meiweitz(node, errors: list[str]) -> MeiWeitzParams | None:
     preexisting = len(errors)
     n = _int_value(node["n"], "meiweitz.n", errors)
     flipped = _int_value(node["flipped_path"], "meiweitz.flipped_path", errors)
-    if n is not None and n < 3:
-        errors.append(f"meiweitz.n: need at least 3 paths, got {n}")
+    if n is not None and not 3 <= n <= MAX_SCAN_PATHS:
+        errors.append(f"meiweitz.n: must lie in [3, {MAX_SCAN_PATHS}], got {n}")
     if n is not None and flipped is not None and not 0 <= flipped < n:
         errors.append(f"meiweitz.flipped_path: index {flipped} out of range "
                       f"for n={n}")
@@ -242,8 +242,8 @@ def _parse_uqsd(node, errors: list[str]) -> UqsdParams | None:
     if p1 is not None and not 0.0 <= p1 <= 1.0:
         errors.append(f"uqsd.p1: value {p1} outside [0, 1]")
     trials = _int_value(node["trials"], "uqsd.trials", errors)
-    if trials is not None and trials <= 0:
-        errors.append(f"uqsd.trials: must be positive, got {trials}")
+    if trials is not None and not 0 < trials <= MAX_TRIALS:
+        errors.append(f"uqsd.trials: must lie in [1, {MAX_TRIALS}], got {trials}")
     seed = _int_value(node["seed"], "uqsd.seed", errors)
     if seed is not None and not 0 <= seed < 2**64:
         errors.append(f"uqsd.seed: must lie in [0, 2**64), got {seed}")
@@ -410,6 +410,7 @@ def _build_state(config: ScenarioConfig) -> InterferometerState:
 def build_report_document(config: ScenarioConfig,
                           state: InterferometerState) -> ReportDocument:
     report = duality_report(state)
+    diagnostics = validate(state)
     duality = {
         "n": report.n,
         "coherence": report.coherence,
@@ -418,7 +419,7 @@ def build_report_document(config: ScenarioConfig,
         "is_symmetric": report.is_symmetric,
         "symmetric_sum_lhs": report.symmetric_sum_lhs,
         "weighted_sum_lhs": report.weighted_sum_lhs,
-        "gram_rank": report.gram_rank,
+        "gram_rank": diagnostics.gram_rank,
         "dark_pairs": [list(pair) for pair in report.dark_pairs],
     }
     pairwise = [
@@ -428,7 +429,7 @@ def build_report_document(config: ScenarioConfig,
         for m in report.pairwise
     ]
     return ReportDocument(
-        input=config.raw, diagnostics=_diagnostics_dict(validate(state)),
+        input=config.raw, diagnostics=_diagnostics_dict(diagnostics),
         duality=duality, pairwise=pairwise, version=__version__,
         timestamp=_timestamp())
 

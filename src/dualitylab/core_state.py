@@ -22,6 +22,7 @@ after the quanton-detector coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,10 @@ def _hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def _min_eigenvalue(mat: np.ndarray) -> float:
-    # Hermitize first so eigvalsh sees an exactly Hermitian operand.
-    sym = 0.5 * (mat + mat.conj().T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part, so eigvalsh sees an
+    exactly Hermitian operand."""
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -131,16 +132,22 @@ class InterferometerState:
         """Number of interferometer paths."""
         return self.rho.shape[0]
 
+    @cached_property
+    def diagnostics(self) -> StateDiagnostics:
+        """Invariant checks: stored by build_mixed_state, else made on first read."""
+        return _run_checks(self.rho, self.gram)[0]
 
-def _run_checks(rho: np.ndarray, gram: np.ndarray) -> tuple[list[CheckResult], np.ndarray]:
-    """Evaluate every structural invariant; returns the rho eigenvalues too
-    so callers can reuse them for the rank-one test."""
+
+def _run_checks(rho: np.ndarray, gram: np.ndarray) -> tuple[StateDiagnostics, float]:
+    """Evaluate every structural invariant in one pass; returns the top rho
+    eigenvalue too so the builder can reuse it for the rank-one test."""
     if rho.shape != gram.shape:
         raise DimensionError(
             f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
             check="shared_dimension")
 
-    rho_eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    rho_eigs = _spectrum(rho)
+    gram_eigs = _spectrum(gram)
     effective = rho * gram
 
     residuals = [
@@ -150,18 +157,18 @@ def _run_checks(rho: np.ndarray, gram: np.ndarray) -> tuple[list[CheckResult], n
         ("gram_hermitian", _hermiticity_defect(gram), HERMITICITY_TOL),
         ("gram_unit_diagonal", float(np.max(np.abs(np.diag(gram) - 1.0))),
          UNIT_DIAGONAL_TOL),
-        ("gram_psd", _min_eigenvalue(gram), -PSD_TOL),
+        ("gram_psd", float(gram_eigs[0]), -PSD_TOL),
         ("effective_trace", float(abs(np.trace(effective).real - 1.0)), TRACE_TOL),
-        ("effective_psd", _min_eigenvalue(effective), -PSD_TOL),
+        ("effective_psd", float(_spectrum(effective)[0]), -PSD_TOL),
     ]
-    checks = []
-    for name, residual, tolerance in residuals:
-        # Defect-style residuals must stay below tolerance; spectral ones
-        # (negative tolerance) must stay above it.
-        passed = residual >= tolerance if tolerance < 0 else residual <= tolerance
-        checks.append(CheckResult(name, bool(passed), float(residual),
-                                  float(tolerance)))
-    return checks, rho_eigs
+    # Defect-style residuals must stay below tolerance; spectral ones
+    # (negative tolerance) must stay above it.
+    checks = tuple(CheckResult(name, bool(res >= tol if tol < 0 else res <= tol),
+                               float(res), float(tol)) for name, res, tol in residuals)
+    # matrix_rank's rule for Hermitian input: |lambda| > max|lambda| * n * eps.
+    size = np.abs(gram_eigs)
+    rank = int(np.count_nonzero(size > size.max() * gram.shape[0] * np.finfo(float).eps))
+    return StateDiagnostics(checks=checks, gram_rank=rank), float(rho_eigs[-1])
 
 
 _ERROR_BY_CHECK = {
@@ -246,17 +253,17 @@ def build_mixed_state(rho, gram) -> InterferometerState:
     """
     rho = _as_complex_matrix(rho, "rho")
     gram = _as_complex_matrix(gram, "gram")
-    checks, rho_eigs = _run_checks(rho, gram)
-    for check in checks:
-        if not check.passed:
-            err_cls = _ERROR_BY_CHECK.get(check.name, ValidationError)
-            raise err_cls(
-                f"invariant '{check.name}' failed: residual {check.residual!r} "
-                f"vs tolerance {check.tolerance!r}",
-                check=check.name, residual=check.residual,
-                tolerance=check.tolerance)
-    pure = bool(rho_eigs[-1] >= 1.0 - PURITY_TOL)
-    return InterferometerState(rho=rho, gram=gram, purity_flag=pure)
+    diagnostics, top_eigenvalue = _run_checks(rho, gram)
+    for check in diagnostics.failed():
+        err_cls = _ERROR_BY_CHECK.get(check.name, ValidationError)
+        raise err_cls(
+            f"invariant '{check.name}' failed: residual {check.residual!r} "
+            f"vs tolerance {check.tolerance!r}",
+            check=check.name, residual=check.residual,
+            tolerance=check.tolerance)
+    state = InterferometerState(rho, gram, bool(top_eigenvalue >= 1.0 - PURITY_TOL))
+    object.__setattr__(state, "diagnostics", diagnostics)
+    return state
 
 
 def effective_density(state: InterferometerState) -> np.ndarray:
@@ -269,8 +276,7 @@ def validate(state: InterferometerState) -> StateDiagnostics:
     """Diagnostic (never-raising) version of the construction checks.
 
     Reports each invariant with its measured residual, plus the rank of the
-    Gram matrix.  Useful for states assembled by hand around the builders.
+    Gram matrix: the state's ``diagnostics``, so a built state is not checked
+    again and one assembled by hand around the builders is checked once.
     """
-    checks, _ = _run_checks(state.rho, state.gram)
-    rank = int(np.linalg.matrix_rank(state.gram, hermitian=True))
-    return StateDiagnostics(checks=tuple(checks), gram_rank=rank)
+    return state.diagnostics

@@ -63,7 +63,6 @@ class DualityReport:
     weighted_sum_lhs: float
     duality_margin: float
     is_symmetric: bool
-    gram_rank: int
 
 
 def is_symmetric(state: InterferometerState) -> bool:
@@ -150,9 +149,8 @@ def duality_report(state: InterferometerState) -> DualityReport:
     rows = zip(lit.i.tolist(), lit.j.tolist(), lit.visibility.tolist(),
                lit.distinguishability.tolist(), lit.slack.tolist(), lit.weight.tolist())
     dark = zip(table.i[table.dark].tolist(), table.j[table.dark].tolist())
-    rank = int(np.linalg.matrix_rank(state.gram, hermitian=True))
     return DualityReport(
         n=n, coherence=coh, distinguishability=dist,
         pairwise=tuple(PairMetrics(*row) for row in rows), dark_pairs=tuple(dark),
         symmetric_sum_lhs=symmetric_sum, weighted_sum_lhs=weighted_sum,
-        duality_margin=margin, is_symmetric=symmetric, gram_rank=rank)
+        duality_margin=margin, is_symmetric=symmetric)

@@ -41,6 +41,8 @@ COMPLETENESS_TOL = 1e-10
 # by rounding; they are clamped to 0 before sampling so that structurally
 # forbidden outcomes can never be drawn.
 STRUCTURAL_ZERO = 1e-12
+# Largest trial count numpy's binomial sampler accepts (int64).
+MAX_TRIALS = 2**63 - 1
 
 
 class SuccessProbability(NamedTuple):
@@ -265,27 +267,20 @@ def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
 
 def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
              seed: int) -> SimulationResult:
-    """Sample the discrimination record: draw a state by its prior, then an
-    outcome by its Born probability.  Deterministic given (seed, trials)."""
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials <= 0:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    """Draw the d1 count by the prior, then each state's outcome counts by its
+    Born probabilities: O(1) in ``trials``, deterministic given (seed, trials)."""
+    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
+            or not 0 < trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
     probs = _born_probabilities(problem, povm)
-    cumulative = np.cumsum(probs, axis=1)
-    cumulative[:, -1] = 1.0
 
     rng = np.random.default_rng(seed)
-    labels = (rng.random(trials) >= problem.p1).astype(np.int8)  # 0 -> d1, 1 -> d2
-    draws = rng.random(trials)
-    outcomes = np.empty(trials, dtype=np.int8)
-    for k in (0, 1):
-        mask = labels == k
-        outcomes[mask] = np.searchsorted(cumulative[k], draws[mask], side="right")
-
-    correct_1 = int(np.count_nonzero((labels == 0) & (outcomes == 0)))
-    correct_2 = int(np.count_nonzero((labels == 1) & (outcomes == 1)))
-    fail = int(np.count_nonzero(outcomes == 2))
-    wrong = trials - correct_1 - correct_2 - fail
+    on_d1 = int(rng.binomial(trials, problem.p1))
+    # (E1, E2, fail) outcome counts on d1, then on d2.
+    (right_1, wrong_1, fail_1), (wrong_2, right_2, fail_2) = (
+        rng.multinomial(count, row).tolist()
+        for count, row in zip((on_d1, trials - on_d1), probs))
     return SimulationResult(
         trials=int(trials), seed=int(seed),
-        freq_correct_1=correct_1 / trials, freq_correct_2=correct_2 / trials,
-        freq_fail=fail / trials, freq_wrong=wrong / trials)
+        freq_correct_1=right_1 / trials, freq_correct_2=right_2 / trials,
+        freq_fail=(fail_1 + fail_2) / trials, freq_wrong=(wrong_1 + wrong_2) / trials)

@@ -1,13 +1,16 @@
 """CLI parsing, artifact writing, exit codes and determinism."""
 
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualitylab import ConfigError, coherence, build_pure_state
+from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
+    validate
 from dualitylab.cli import ReportDocument, main, parse_config
-from dualitylab.fringes import DEFAULT_PHASE_STEPS
+from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS
 
 A3 = 0.5773502691896258        # 1/sqrt(3)
 B = 0.8660254037844386         # sqrt(3)/2
@@ -15,6 +18,11 @@ B = 0.8660254037844386         # sqrt(3)/2
 SYMMETRIC_STATE = {
     "amplitudes": [A3, A3, A3],
     "detectors": [[1, 0], [0.5, B], [0.5, -B]],
+}
+# rho is diagonally dominant, so PSD; the Gram matrix has rank two.
+MIXED_STATE = {
+    "rho": [[0.4, [0.1, 0.05], 0.1], [[0.1, -0.05], 0.3, 0.1], [0.1, 0.1, 0.3]],
+    "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
 }
 
 
@@ -169,6 +177,18 @@ class TestReportMode:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["timestamp"] == "2023-11-14T22:13:20+00:00"
 
+    def test_mixed_report_decomposes_each_matrix_once(self, tmp_path, spectral_calls):
+        # build_mixed_state decomposes rho, gram and rho * gram; the duality
+        # block and the diagnostics block both read the record it stored.
+        config_path = write_config(tmp_path, "c.json",
+                                   report_config(tmp_path, state=MIXED_STATE))
+        assert main(["report", "--config", config_path]) == 0
+        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        payload = json.loads((tmp_path / "report.json").read_text())
+        config = parse_config(json.dumps(report_config(tmp_path, state=MIXED_STATE)))
+        rank = validate(build_mixed_state(config.rho, config.gram)).gram_rank
+        assert payload["duality"]["gram_rank"] == payload["diagnostics"]["gram_rank"] == rank == 2
+
 
 class TestTableModes:
     def test_pairs_csv_one_based(self, tmp_path):
@@ -278,7 +298,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["negative_seed", "bad_epoch", "missing_dir",
                                       "not_utf8", "deep_nesting", "huge_integer",
-                                      "over_digit_limit"])
+                                      "over_digit_limit", "trials_too_large",
+                                      "meiweitz_n_above_cap", "meiweitz_n_huge"])
     def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
                                                          monkeypatch, case):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -296,6 +317,22 @@ class TestExitCodes:
         elif case == "missing_dir":
             out = tmp_path / "absent" / "out.json"
             mode, config = "report", report_config(tmp_path, out_name="absent/out.json")
+        elif case == "trials_too_large":
+            # Above the int64 range of numpy's binomial sampler.
+            mode, config = "uqsd", {
+                "mode": "uqsd",
+                "uqsd": {"d1": [1, 0], "d2": [0.5, B], "p1": 0.5,
+                         "trials": 10**21, "seed": 1},
+                "output": {"format": "json", "path": str(out)},
+            }
+        elif case.startswith("meiweitz_n"):
+            n = MAX_SCAN_PATHS + 1 if case == "meiweitz_n_above_cap" else 10**400
+            mode, config = "meiweitz", {
+                "mode": "meiweitz",
+                "meiweitz": {"n": n, "flipped_path": 3, "decohered_paths": [3],
+                             "gamma_grid": [0.5]},
+                "output": {"format": "csv", "path": str(out)},
+            }
         else:
             mode, config = "report", report_config(tmp_path, out_name="out.json")
         config_path = write_config(tmp_path, "c.json", config)
@@ -393,3 +430,77 @@ class TestDeterminism:
         assert main([mode, "--config", config_path]) == 0
         second = (tmp_path / "a.out").read_bytes()
         assert first == second
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# Replacement values: huge, negative, NaN, nested, empty and wrongly typed.
+# Every size-like number here is outside its key's range, so no mutant makes
+# a valid run expensive.
+MENU = (None, True, "x", "", 0, -1, -1e9, 10**21, 2**63, 1e308, float("nan"),
+        float("inf"), [], {}, [[]], [[1, 2]], {"k": [1]})
+DROP, WRAP = object(), object()
+EDITS = (DROP, WRAP) + MENU
+
+
+def _node_paths(node, prefix=()):
+    """Key/index paths of every node below the document root."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _edited(config: dict, path: tuple, edit) -> dict:
+    """A copy of the config with the node at ``path`` dropped, wrapped in a
+    list or replaced by a MENU value."""
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if edit is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if edit is WRAP else copy.deepcopy(edit)
+    return config
+
+
+def _mutants(config: dict, rng: np.random.Generator, stacked: int):
+    """Every single edit of every node, then ``stacked`` seeded runs of two
+    or three edits in a row."""
+    for path in _node_paths(config):
+        for edit in EDITS:
+            yield _edited(config, path, edit)
+    for _ in range(stacked):
+        mutant = config
+        for _ in range(int(rng.integers(2, 4))):
+            paths = list(_node_paths(mutant))
+            if not paths:
+                break
+            mutant = _edited(mutant, paths[int(rng.integers(len(paths)))],
+                             EDITS[int(rng.integers(len(EDITS)))])
+        yield mutant
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_every_run_ends_with_a_documented_exit_code(self, tmp_path, monkeypatch,
+                                                        capsys, name):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        monkeypatch.chdir(tmp_path)
+        original = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+        config_path = tmp_path / "c.json"
+        rng = np.random.default_rng(sum(name.encode()))
+        bad, runs = [], 0
+        for config in [original, *_mutants(original, rng, stacked=50)]:
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            for extra in (["--output", str(tmp_path / "out")], ["--validate-only"]):
+                try:
+                    code = main([original["mode"], "--config", str(config_path)] + extra)
+                except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                    code = repr(exc)
+                capsys.readouterr()
+                runs += 1
+                if code not in (0, 2, 3, 4) or (config is original and code != 0):
+                    bad.append((json.dumps(config), extra[0], code))
+        assert not bad, f"{len(bad)} of {runs} runs: {bad[:5]}"

@@ -18,6 +18,9 @@ from dualitylab.sampling import (
     random_detectors,
     random_gram,
     random_mixed_state,
+    random_pure_state,
+    random_symmetric_mixed_state,
+    random_symmetric_pure_state,
 )
 
 ISQ2 = 1.0 / np.sqrt(2.0)
@@ -189,6 +192,37 @@ class TestValidateDiagnostics:
         rng = np.random.default_rng(11)
         state = random_mixed_state(4, rng, gram_rank=2)
         assert validate(state).gram_rank == 2
+
+    @pytest.mark.parametrize("sampler", [random_pure_state, random_mixed_state,
+                                         random_symmetric_pure_state,
+                                         random_symmetric_mixed_state])
+    def test_gram_rank_matches_matrix_rank(self, sampler):
+        # Detector dimensions 1..n+1: rank-deficient and full-rank Grams.
+        rng = np.random.default_rng(12)
+        deficient = 0
+        for n in range(2, 33):
+            for dim in sorted({1, n // 2 + 1, n - 1, n, n + 1} - {0}):
+                state = sampler(n, rng, gram_rank=dim)
+                expected = int(np.linalg.matrix_rank(state.gram, hermitian=True))
+                assert validate(state).gram_rank == expected, (n, dim)
+                deficient += expected < n
+        assert deficient > 60
+
+    def test_built_state_is_checked_once(self, spectral_calls):
+        state = build_mixed_state(np.eye(3) / 3, random_gram(3, np.random.default_rng(4)))
+        # rho, gram and the effective state, one decomposition each.
+        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert validate(state) is state.diagnostics
+        assert validate(state).ok
+        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+
+    def test_hand_built_state_is_checked_on_first_read(self, spectral_calls):
+        state = InterferometerState(rho=np.eye(2) / 2, gram=np.eye(2), purity_flag=False)
+        assert spectral_calls["eigvalsh"] == 0
+        first = validate(state)
+        assert validate(state) is first is state.diagnostics
+        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert first.ok and first.gram_rank == 2
 
 
 class TestRandomEnsembleProperties:

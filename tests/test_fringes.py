@@ -17,7 +17,8 @@ from dualitylab import (
     pair_visibility,
     two_slit_pattern,
 )
-from dualitylab.fringes import flipped_symmetric_amplitudes, selective_decoherence_gram
+from dualitylab.fringes import MAX_SCAN_PATHS, flipped_symmetric_amplitudes, \
+    selective_decoherence_gram
 from dualitylab.sampling import random_mixed_state, random_pure_state
 
 from oracles import cosine_series_extrema, flip_scan_visibility, michelson
@@ -333,6 +334,12 @@ class TestMeiWeitzScan:
         # The scan takes no geometry: it samples no pattern.
         with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))
+
+    def test_path_count_cap(self):
+        assert mei_weitz_scan(MAX_SCAN_PATHS, 0, [1], [0.5]).visibilities.size == 1
+        with pytest.raises(DimensionError) as excinfo:
+            mei_weitz_scan(MAX_SCAN_PATHS + 1, 0, [1], [0.5])
+        assert excinfo.value.check == "path_count"
 
 
 class TestExactExtremaAccuracy:

@@ -153,10 +153,12 @@ class TestDualityReport:
         assert len(report.pairwise) == 2
         assert report.symmetric_sum_lhs is None
 
-    def test_gram_rank_in_report(self):
-        rng = np.random.default_rng(61)
-        state = random_mixed_state(4, rng, gram_rank=2)
-        assert duality_report(state).gram_rank == 2
+    def test_report_decomposes_nothing(self, spectral_calls):
+        # The rank and the PSD checks live in the state's diagnostics.
+        state = random_mixed_state(6, np.random.default_rng(61), gram_rank=2)
+        spectral_calls.update(eigvalsh=0, matrix_rank=0)
+        duality_report(state)
+        assert spectral_calls == {"eigvalsh": 0, "matrix_rank": 0}
 
     def test_symmetric_sum_only_for_symmetric_states(self):
         state = build_pure_state(np.sqrt([0.5, 0.3, 0.2]), [(1, 0)] * 3)

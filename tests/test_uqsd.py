@@ -16,6 +16,7 @@ from dualitylab import (
     success_probability,
 )
 from dualitylab.sampling import random_detectors
+from dualitylab.uqsd import MAX_TRIALS
 
 D60 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)  # overlap 1/2 with e1
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -184,6 +185,15 @@ class TestSimulate:
             simulate(problem, povm, 0, seed=1)
         with pytest.raises(ValueError):
             simulate(problem, povm, -5, seed=1)
+
+    def test_trials_bounded_by_int64(self):
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        povm = build_povm(problem)
+        result = simulate(problem, povm, MAX_TRIALS, seed=3)
+        assert result.trials == 2**63 - 1 and result.freq_wrong == 0.0
+        assert result.success_frequency == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(ValueError):
+            simulate(problem, povm, MAX_TRIALS + 1, seed=3)
 
 
 class TestConsistencyWithPairMetrics:
