@@ -34,7 +34,7 @@ from .core_state import InterferometerState, StateDiagnostics, build_mixed_state
 from .errors import ConfigError, DimensionError, DualityLabError, \
     NormalizationError, ValidationError
 from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MAX_SCAN_PATHS, \
-    MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
+    MAX_SCAN_POINTS, MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import MAX_TRIALS, UqsdProblem, build_povm, simulate, success_probability
 
@@ -209,6 +209,9 @@ def _parse_meiweitz(node, errors: list[str]) -> MeiWeitzParams | None:
     raw_grid = node["gamma_grid"]
     if not isinstance(raw_grid, list) or not raw_grid:
         errors.append("meiweitz.gamma_grid: expected a non-empty list")
+    elif len(raw_grid) > MAX_SCAN_POINTS:
+        errors.append(f"meiweitz.gamma_grid: at most {MAX_SCAN_POINTS} points, "
+                      f"got {len(raw_grid)}")
     else:
         for k, entry in enumerate(raw_grid):
             g = _real_value(entry, f"meiweitz.gamma_grid[{k}]", errors)

@@ -39,6 +39,23 @@ PSD_TOL = 1e-10          # smallest eigenvalue may not drop below -PSD_TOL
 AMPLITUDE_NORM_TOL = 1e-10
 PURITY_TOL = 1e-10       # rank-one detection: top eigenvalue within this of 1
 
+# The structural invariants in report order, each with its tolerance.
+_CHECKS = (
+    ("rho_hermitian", HERMITICITY_TOL),
+    ("rho_trace", TRACE_TOL),
+    ("rho_psd", -PSD_TOL),
+    ("gram_hermitian", HERMITICITY_TOL),
+    ("gram_unit_diagonal", UNIT_DIAGONAL_TOL),
+    ("gram_psd", -PSD_TOL),
+    ("effective_trace", TRACE_TOL),
+    ("effective_psd", -PSD_TOL),
+)
+_TOLERANCES = np.array([tolerance for _, tolerance in _CHECKS])
+# Defect-style residuals must stay at or below their positive tolerance and
+# spectral ones (the smallest eigenvalue) at or above their negative one.
+# Scaled by this sign, both read residual >= tolerance, which NaN fails.
+_SIGNS = np.where(_TOLERANCES < 0, 1.0, -1.0)
+
 
 def _as_complex_matrix(values, name: str) -> np.ndarray:
     mat = np.asarray(values, dtype=complex)
@@ -63,14 +80,24 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return vec
 
 
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    return mat.swapaxes(-1, -2).conj()
+
+
+def _hermiticity_defect(mat: np.ndarray) -> np.ndarray:
+    return abs(mat - _adjoint(mat)).max(axis=(-2, -1))
+
+
+def _trace_defect(mat: np.ndarray) -> np.ndarray:
+    return abs(mat.trace(axis1=-2, axis2=-1).real - 1.0)
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part, so eigvalsh sees an
-    exactly Hermitian operand."""
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    """Ascending eigenvalues of the Hermitian part of each stacked matrix, so
+    eigvalsh sees an exactly Hermitian operand.  Halving before the sum keeps
+    entries near the float limit finite."""
+    half = 0.5 * mat
+    return np.linalg.eigvalsh(half + _adjoint(half))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -135,46 +162,85 @@ class InterferometerState:
     @cached_property
     def diagnostics(self) -> StateDiagnostics:
         """Invariant checks: stored by build_mixed_state, else made on first read."""
-        return _run_checks(self.rho, self.gram)[0]
+        residuals, _, gram_eigs = _run_checks(self.rho, self.gram)
+        return _diagnostics(residuals, gram_eigs)
 
 
-def _run_checks(rho: np.ndarray, gram: np.ndarray) -> tuple[StateDiagnostics, float]:
-    """Evaluate every structural invariant in one pass; returns the top rho
-    eigenvalue too so the builder can reuse it for the rank-one test."""
-    if rho.shape != gram.shape:
+def _run_checks(rho: np.ndarray,
+                gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals of every structural invariant, over stacks of states.
+
+    ``rho`` and ``gram`` are (n, n) or (k, n, n) and broadcast against each
+    other, so a rho shared by a whole stack is decomposed once.  Returns the
+    (..., len(_CHECKS)) residuals, one column per check, and the rho and
+    gram spectra.
+    """
+    if rho.shape[-2:] != gram.shape[-2:]:
         raise DimensionError(
             f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
             check="shared_dimension")
 
     rho_eigs = _spectrum(rho)
     gram_eigs = _spectrum(gram)
-    effective = rho * gram
+    # Entries near the float limit may overflow a defect or the effective
+    # state to inf or NaN; either fails its check, as it should.
+    with np.errstate(over="ignore", invalid="ignore"):
+        effective = rho * gram
+        columns = (
+            _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
+            _hermiticity_defect(gram),
+            abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1),
+            gram_eigs[..., 0],
+            _trace_defect(effective), _spectrum(effective)[..., 0],
+        )
+    residuals = np.empty(effective.shape[:-2] + (len(_CHECKS),))
+    for column, values in enumerate(columns):
+        residuals[..., column] = values
+    return residuals, rho_eigs, gram_eigs
 
-    residuals = [
-        ("rho_hermitian", _hermiticity_defect(rho), HERMITICITY_TOL),
-        ("rho_trace", float(abs(np.trace(rho).real - 1.0)), TRACE_TOL),
-        ("rho_psd", float(rho_eigs[0]), -PSD_TOL),
-        ("gram_hermitian", _hermiticity_defect(gram), HERMITICITY_TOL),
-        ("gram_unit_diagonal", float(np.max(np.abs(np.diag(gram) - 1.0))),
-         UNIT_DIAGONAL_TOL),
-        ("gram_psd", float(gram_eigs[0]), -PSD_TOL),
-        ("effective_trace", float(abs(np.trace(effective).real - 1.0)), TRACE_TOL),
-        ("effective_psd", float(_spectrum(effective)[0]), -PSD_TOL),
-    ]
-    # Defect-style residuals must stay below tolerance; spectral ones
-    # (negative tolerance) must stay above it.
-    checks = tuple(CheckResult(name, bool(res >= tol if tol < 0 else res <= tol),
-                               float(res), float(tol)) for name, res, tol in residuals)
-    # matrix_rank's rule for Hermitian input: |lambda| > max|lambda| * n * eps.
+
+def _failed(residuals: np.ndarray) -> np.ndarray:
+    return ~(_SIGNS * residuals >= _SIGNS * _TOLERANCES)
+
+
+def _diagnostics(residuals: np.ndarray, gram_eigs: np.ndarray) -> StateDiagnostics:
+    """The record of one state's checks."""
+    checks = tuple(
+        CheckResult(name, not failed, residual, tolerance)
+        for (name, tolerance), failed, residual
+        in zip(_CHECKS, _failed(residuals).tolist(), residuals.tolist()))
+    # matrix_rank's rule for Hermitian input: |lambda| > max|lambda| * n * eps,
+    # scaled by eps first so a huge max cannot overflow.
     size = np.abs(gram_eigs)
-    rank = int(np.count_nonzero(size > size.max() * gram.shape[0] * np.finfo(float).eps))
-    return StateDiagnostics(checks=checks, gram_rank=rank), float(rho_eigs[-1])
+    rank = int(np.count_nonzero(size > size.max() * np.finfo(float).eps * size.size))
+    return StateDiagnostics(checks=checks, gram_rank=rank)
 
 
 _ERROR_BY_CHECK = {
     "rho_trace": NormalizationError,
     "effective_trace": NormalizationError,
 }
+
+
+def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> None:
+    """Raise for the first failed check of the first failing state.
+
+    For the residuals of a (k, n, n) stack, ``start`` is the grid index of
+    its first state, and the message names the grid point that failed.
+    """
+    failed = _failed(residuals)
+    if not failed.any():
+        return
+    table = failed.reshape(-1, len(_CHECKS))
+    point = int(np.argmax(table.any(axis=1)))
+    column = int(np.argmax(table[point]))
+    name, tolerance = _CHECKS[column]
+    residual = float(residuals.reshape(-1, len(_CHECKS))[point, column])
+    where = "" if start is None else f" at grid point {start + point}"
+    raise _ERROR_BY_CHECK.get(name, ValidationError)(
+        f"invariant '{name}' failed{where}: residual {residual!r} "
+        f"vs tolerance {tolerance!r}",
+        check=name, residual=residual, tolerance=tolerance)
 
 
 def build_pure_state(amplitudes, detectors) -> InterferometerState:
@@ -204,7 +270,9 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     n = c.size
     if n < 2:
         raise DimensionError(f"need at least 2 paths, got {n}", check="path_count")
-    norm2 = float(np.sum(np.abs(c) ** 2))
+    # Norms past the float limit overflow to inf, which fails their checks.
+    with np.errstate(over="ignore"):
+        norm2 = float(np.sum(np.abs(c) ** 2))
     if abs(norm2 - 1.0) > AMPLITUDE_NORM_TOL:
         raise NormalizationError(
             f"amplitudes have squared norm {norm2!r}, expected 1",
@@ -216,12 +284,13 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
         raise DimensionError(
             f"got {len(vecs)} detector states for {n} paths", check="detector_count")
     dim = vecs[0].size
-    for k, vec in enumerate(vecs):
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(vec)) for vec in vecs]
+    for k, (vec, norm) in enumerate(zip(vecs, norms)):
         if vec.size != dim:
             raise DimensionError(
                 f"detectors[{k}] has length {vec.size}, expected {dim}",
                 check="detector_dimension")
-        norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > DETECTOR_NORM_TOL:
             raise NormalizationError(
                 f"detectors[{k}] has norm {norm!r}, expected 1",
@@ -253,15 +322,11 @@ def build_mixed_state(rho, gram) -> InterferometerState:
     """
     rho = _as_complex_matrix(rho, "rho")
     gram = _as_complex_matrix(gram, "gram")
-    diagnostics, top_eigenvalue = _run_checks(rho, gram)
-    for check in diagnostics.failed():
-        err_cls = _ERROR_BY_CHECK.get(check.name, ValidationError)
-        raise err_cls(
-            f"invariant '{check.name}' failed: residual {check.residual!r} "
-            f"vs tolerance {check.tolerance!r}",
-            check=check.name, residual=check.residual,
-            tolerance=check.tolerance)
-    state = InterferometerState(rho, gram, bool(top_eigenvalue >= 1.0 - PURITY_TOL))
+    residuals, rho_eigs, gram_eigs = _run_checks(rho, gram)
+    diagnostics = _diagnostics(residuals, gram_eigs)
+    if not diagnostics.ok:
+        _raise_first_failure(residuals)
+    state = InterferometerState(rho, gram, bool(rho_eigs[-1] >= 1.0 - PURITY_TOL))
     object.__setattr__(state, "diagnostics", diagnostics)
     return state
 

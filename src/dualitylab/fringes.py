@@ -19,6 +19,8 @@ the angle of every root of z^(n-1) I'(z), a degree-2(n-1) polynomial in
 z = exp(i delta) whose unit-circle roots are the critical points (companion
 matrix rootfinding, J. P. Boyd, J. Eng. Math. 56, 2006).  Every point of the
 circle lies between the extrema, so off-circle roots need no tolerance.
+Harmonics and extrema work on stacks of patterns; a single pattern is the
+stack of one.
 
 The selective-decoherence scan reproduces the anomaly seen when one path's
 phase is flipped by pi and only selected paths are decohered: the contrast
@@ -34,19 +36,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, build_mixed_state, effective_density
+from .core_state import InterferometerState, _raise_first_failure, _run_checks, \
+    effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
-from .multipath import coherence, distinguishability
+from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
 
 DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
 # Bounds the complex spectrum of one profile at 16 MiB.
 MAX_PHASE_STEPS = 2**20
-# One scan point costs about n^3 (the companion eigensolve of degree 2(n-1)):
-# 5 ms at n = 32, 30 ms at 64 and 160 ms at 128 on a 2-core x86 host.  64
-# paths keep an 11-point scan under half a second.
+# One scan point costs about n^3 once n is large (the companion eigensolve of
+# degree 2(n-1)): 0.06 ms at n = 4, 0.9 ms at 16, 4 ms at 32 and 32 ms at 64
+# on a 2-core x86 host.  64 paths keep an 11-point scan under half a second.
 MAX_SCAN_PATHS = 64
+# The worst scan, 1024 points at n = 64, takes 40 s on the same host.
+MAX_SCAN_POINTS = 1024
+# Grid points solved per stacked pass.  Peak memory follows the block, not the
+# grid: at n = 64 a 32-point block peaks at 26 MiB, mostly its (32, 126, 126)
+# companion stack and (32, 127, 127) evaluation matrix.
+SCAN_BLOCK_POINTS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +121,16 @@ class MeiWeitzScan:
             object.__setattr__(self, name, arr)
 
 
-def _harmonics(matrix: np.ndarray) -> np.ndarray:
-    """c[m + n - 1] = sum_{j-k=m} R_jk for m = -(n-1)..n-1."""
-    n = matrix.shape[0]
-    offsets = np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
-    flat = matrix.ravel()
-    return (np.bincount(offsets, flat.real, 2 * n - 1)
-            + 1j * np.bincount(offsets, flat.imag, 2 * n - 1))
+def _harmonics(stack: np.ndarray) -> np.ndarray:
+    """c[r, m + n - 1] = sum_{j-k=m} R_jk of the r-th of k stacked (n, n)
+    matrices, for m = -(n-1)..n-1."""
+    k, n = stack.shape[:2]
+    width = 2 * n - 1
+    offsets = (np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
+               + width * np.arange(k)[:, None]).ravel()
+    flat = stack.ravel()
+    return (np.bincount(offsets, flat.real, k * width)
+            + 1j * np.bincount(offsets, flat.imag, k * width)).reshape(k, width)
 
 
 def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
@@ -129,35 +141,54 @@ def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
     return np.fft.ifft(spectrum, norm="forward").real
 
 
-def _extrema(harmonics: np.ndarray) -> tuple[float, float]:
-    """Exact (max, min) over one period of I(delta) = sum_m c_m e^{i m delta}."""
-    n = (harmonics.size + 1) // 2
+def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (max, min) over one period of I(delta) = sum_m c_m e^{i m delta},
+    for each row of a (k, 2n-1) stack of harmonics."""
+    k, width = harmonics.shape
+    n = (width + 1) // 2
     m = np.arange(1 - n, n)
     # Harmonics below eps^2 of the largest change I by far less than rounding,
     # and a subnormal leading coefficient would overflow the companion matrix,
-    # so they count as zero.  The coefficients of z^(n-1) I'(z) go highest
-    # power first; with I' zero np.roots returns nothing, leaving delta = 0.
+    # so they count as zero.  The coefficients of z^(n-1) I'(z) go lowest
+    # power first.  Each row is cut to its own nonzero span, since outer
+    # harmonics can vanish (the scan's at g = 0); dividing by a zero leading
+    # coefficient would give inf.  Rows of one degree share one eigensolve.
     magnitude = np.abs(harmonics)
-    kept = np.where(magnitude > np.finfo(float).eps ** 2 * magnitude.max(), harmonics, 0.0)
-    roots = np.roots((1j * m * kept)[::-1])
-    delta = np.append(np.angle(roots), 0.0)
-    values = (np.exp(1j * np.outer(delta, m)) @ harmonics).real
-    return float(values.max()), float(values.min())
+    floor = np.finfo(float).eps ** 2 * magnitude.max(axis=1, keepdims=True)
+    coefficients = np.where(magnitude > floor, 1j * m * harmonics, 0.0)
+    nonzero = coefficients != 0.0
+    lowest = nonzero.argmax(axis=1)
+    highest = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    degree = np.where(nonzero.any(axis=1), highest - lowest, 0)
+    # The m = 0 coefficient is 0, so a row has at most width - 1 roots and the
+    # zero padding keeps delta = 0 among the candidates.
+    delta = np.zeros((k, width))
+    for d in sorted(set(degree.tolist()) - {0}):
+        rows = np.flatnonzero(degree == d)
+        # Highest power first, as in np.roots.
+        top = coefficients[rows[:, None], highest[rows, None] - np.arange(d + 1)]
+        companion = np.zeros((rows.size, d, d), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = -top[:, 1:] / top[:, :1]
+        delta[rows, :d] = np.angle(np.linalg.eigvals(companion))
+    values = (np.exp(1j * delta[:, :, None] * m) @ harmonics[:, :, None])[..., 0].real
+    return values.max(axis=1), values.min(axis=1)
 
 
-def _michelson(i_max: float, i_min: float) -> float:
+def _michelson(i_max, i_min):
+    """Contrast of one pattern's extrema, or of arrays of them."""
     total = i_max + i_min
-    if total <= 0.0:
+    if np.any(total <= 0.0):
         raise DarkPatternError("pattern has zero total intensity")
     return (i_max - i_min) / total
 
 
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
-    harmonics = _harmonics(matrix)
-    i_max, i_min = _extrema(harmonics)
+    harmonics = _harmonics(matrix[None])
+    i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
     return FringeProfile(
         delta=np.linspace(0.0, 2.0 * np.pi, count, endpoint=False),
-        intensity=_sample_pattern(harmonics, count),
+        intensity=_sample_pattern(harmonics[0], count),
         i_max=i_max, i_min=i_min, visibility=_michelson(i_max, i_min))
 
 
@@ -210,7 +241,8 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
 
     Pairs with exactly one index in ``decohered_paths`` get overlap g; all
     other pairs keep overlap 1.  Realizable with two detector vectors of
-    real overlap g, hence PSD for g in [0, 1].
+    real overlap g, hence PSD for g in [0, 1].  An array of overlaps shaped
+    (k, 1, 1) gives the (k, n, n) stack of their Gram matrices.
     """
     inside = np.isin(np.arange(n), list(decohered_paths))
     return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
@@ -226,6 +258,11 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     the full-pattern visibility, coherence and distinguishability are
     recorded.  Each visibility comes from the exact extrema, so the scan
     samples no pattern and takes no geometry.
+
+    The grid is evaluated in stacked blocks of SCAN_BLOCK_POINTS: rho is
+    checked once per block, and the Gram matrices, effective states and
+    extrema of a block are each solved in one pass.  A grid may hold at most
+    MAX_SCAN_POINTS values.
     """
     if not 3 <= n <= MAX_SCAN_PATHS:
         raise DimensionError(f"scan needs 3 to {MAX_SCAN_PATHS} paths, got {n}",
@@ -240,21 +277,25 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("gamma_grid must be a non-empty 1-d sequence")
-    if np.any((grid < 0.0) | (grid > 1.0)):
+    if grid.size > MAX_SCAN_POINTS:
+        raise ValueError(f"gamma_grid has {grid.size} points, at most "
+                         f"{MAX_SCAN_POINTS} allowed")
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise ValueError("gamma_grid values must lie in [0, 1]")
 
     amplitudes = flipped_symmetric_amplitudes(n, flipped_path)
     rho = np.outer(amplitudes, amplitudes.conj())
 
     vis, coh, dist = [], [], []
-    for g in grid:
-        gram = selective_decoherence_gram(n, decohered, float(g))
-        state = build_mixed_state(rho, gram)
-        vis.append(_michelson(*_extrema(_harmonics(effective_density(state)))))
-        coh.append(coherence(state))
-        dist.append(distinguishability(state))
+    for start in range(0, grid.size, SCAN_BLOCK_POINTS):
+        grams = selective_decoherence_gram(
+            n, decohered, grid[start:start + SCAN_BLOCK_POINTS, None, None])
+        _raise_first_failure(_run_checks(rho, grams)[0], start)
+        vis.append(_michelson(*_extrema(_harmonics(rho * grams))))
+        coh.append(_coherence(rho, grams))
+        dist.append(_distinguishability(rho, grams))
 
     return MeiWeitzScan(
-        gamma_grid=grid, visibilities=np.asarray(vis),
-        coherences=np.asarray(coh), distinguishabilities=np.asarray(dist),
+        gamma_grid=grid, visibilities=np.concatenate(vis),
+        coherences=np.concatenate(coh), distinguishabilities=np.concatenate(dist),
         flipped_path=flipped_path, decohered_paths=decohered)

@@ -71,11 +71,24 @@ def is_symmetric(state: InterferometerState) -> bool:
     return bool(np.max(np.abs(probs - 1.0 / state.n)) <= SYMMETRY_TOL)
 
 
+def _coherence(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """C over the leading axes of broadcasting (..., n, n) rho and gram."""
+    weights = np.abs(rho) * np.abs(gram)
+    off_diagonal = weights.sum(axis=(-2, -1)) - np.trace(weights, axis1=-2, axis2=-1)
+    return off_diagonal / (weights.shape[-1] - 1)
+
+
+def _distinguishability(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """D_Q over the leading axes of broadcasting (..., n, n) rho and gram."""
+    probs = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    geo = np.sqrt(probs[..., :, None] * probs[..., None, :]) * np.abs(gram)
+    off_diagonal = geo.sum(axis=(-2, -1)) - np.trace(geo, axis1=-2, axis2=-1)
+    return 1.0 - off_diagonal / (geo.shape[-1] - 1)
+
+
 def coherence(state: InterferometerState) -> float:
     """Overlap-damped l1 coherence C of the effective state, in [0, 1]."""
-    weights = np.abs(state.rho) * np.abs(state.gram)
-    off_diagonal = weights.sum() - np.trace(weights)
-    return float(off_diagonal) / (state.n - 1)
+    return float(_coherence(state.rho, state.gram))
 
 
 def distinguishability(state: InterferometerState) -> float:
@@ -84,10 +97,7 @@ def distinguishability(state: InterferometerState) -> float:
     Defined through the same pair sums that remain meaningful even when the
     detector states are linearly dependent (rank-deficient Gram matrix).
     """
-    probs = np.clip(np.diag(state.rho).real, 0.0, None)
-    geo = np.sqrt(np.outer(probs, probs)) * np.abs(state.gram)
-    off_diagonal = geo.sum() - np.trace(geo)
-    return 1.0 - float(off_diagonal) / (state.n - 1)
+    return float(_distinguishability(state.rho, state.gram))
 
 
 def _aggregate(table: _PairTable, values: np.ndarray, n: int, symmetric: bool) -> float:

@@ -58,7 +58,9 @@ def _as_unit_vector(values, name: str) -> np.ndarray:
         raise DimensionError(f"{name} must be a non-empty 1-d vector", check="vector")
     if not np.all(np.isfinite(vec)):
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
-    norm = float(np.linalg.norm(vec))
+    # A norm past the float limit overflows to inf, which fails its check.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise NormalizationError(f"{name} has norm {norm!r}, expected 1",
                                  check="state_norm", residual=abs(norm - 1.0),

@@ -10,7 +10,7 @@ import pytest
 from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
     validate
 from dualitylab.cli import ReportDocument, main, parse_config
-from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS
+from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS
 
 A3 = 0.5773502691896258        # 1/sqrt(3)
 B = 0.8660254037844386         # sqrt(3)/2
@@ -299,7 +299,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["negative_seed", "bad_epoch", "missing_dir",
                                       "not_utf8", "deep_nesting", "huge_integer",
                                       "over_digit_limit", "trials_too_large",
-                                      "meiweitz_n_above_cap", "meiweitz_n_huge"])
+                                      "meiweitz_n_above_cap", "meiweitz_n_huge",
+                                      "meiweitz_grid_above_cap"])
     def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
                                                          monkeypatch, case):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -325,12 +326,14 @@ class TestExitCodes:
                          "trials": 10**21, "seed": 1},
                 "output": {"format": "json", "path": str(out)},
             }
-        elif case.startswith("meiweitz_n"):
-            n = MAX_SCAN_PATHS + 1 if case == "meiweitz_n_above_cap" else 10**400
+        elif case.startswith("meiweitz"):
+            n = {"meiweitz_n_above_cap": MAX_SCAN_PATHS + 1,
+                 "meiweitz_n_huge": 10**400}.get(case, 4)
+            grid = [0.5] * (MAX_SCAN_POINTS + 1 if case == "meiweitz_grid_above_cap" else 1)
             mode, config = "meiweitz", {
                 "mode": "meiweitz",
                 "meiweitz": {"n": n, "flipped_path": 3, "decohered_paths": [3],
-                             "gamma_grid": [0.5]},
+                             "gamma_grid": grid},
                 "output": {"format": "csv", "path": str(out)},
             }
         else:
@@ -353,6 +356,36 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("case", ["amplitude", "detector", "rho", "uqsd_d1"])
+    def test_entry_near_float_limit_is_one_line_validation_error(self, tmp_path, capsys,
+                                                                 case):
+        # Norms and Hermitian parts of such entries overflow; a numpy
+        # RuntimeWarning there would add lines to stderr (and, under the
+        # test suite's warning filter, escape as an exception).
+        out = tmp_path / "out.json"
+        if case == "uqsd_d1":
+            mode, config = "uqsd", {
+                "mode": "uqsd",
+                "uqsd": {"d1": [1e308, 0], "d2": [0.5, B], "p1": 0.5,
+                         "trials": 1000, "seed": 1},
+                "output": {"format": "json", "path": str(out)},
+            }
+        else:
+            state = copy.deepcopy(MIXED_STATE if case == "rho" else SYMMETRIC_STATE)
+            if case == "amplitude":
+                state["amplitudes"][0] = 1e308
+            elif case == "detector":
+                state["detectors"][1][0] = 1e308
+            else:
+                state["rho"][0][0] = 1e308
+            mode, config = "report", report_config(tmp_path, out_name="out.json",
+                                                   state=state)
+        config_path = write_config(tmp_path, "c.json", config)
+        assert main([mode, "--config", config_path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode,steps", [("fringes", 10**13), ("meiweitz", 2**20 + 1)])
     def test_phase_step_count_above_cap(self, tmp_path, capsys, mode, steps):

@@ -13,6 +13,7 @@ from dualitylab import (
     effective_density,
     validate,
 )
+from dualitylab.core_state import _raise_first_failure, _run_checks
 from dualitylab.sampling import (
     random_amplitudes,
     random_detectors,
@@ -131,6 +132,20 @@ class TestBuildMixedState:
             build_mixed_state(rho, np.eye(2))
         assert info.value.check == "finite"
 
+    @pytest.mark.parametrize("rho,gram,check", [
+        # Hermitian part, defect, trace and effective state each overflow.
+        ([[1e308, 0], [0, 0]], np.eye(2), "rho_trace"),
+        ([[0.5, 1e308], [-1e308, 0.5]], np.ones((2, 2)), "rho_hermitian"),
+        ([[1e308, 0], [0, 1e308]], np.eye(2), "rho_trace"),
+        ([[0.5, 1e308], [1e308, 0.5]], [[1, 1e308], [1e308, 1]], "rho_psd"),
+    ])
+    def test_entries_near_float_limit_fail_their_check(self, rho, gram, check):
+        # The suite turns RuntimeWarnings into errors, so an overflow warning
+        # from any residual fails this test too.
+        with pytest.raises(ValidationError) as info:
+            build_mixed_state(rho, gram)
+        assert info.value.check == check
+
     def test_input_arrays_not_aliased(self):
         rho = np.eye(2, dtype=complex) / 2
         state = build_mixed_state(rho, np.eye(2))
@@ -223,6 +238,44 @@ class TestValidateDiagnostics:
         assert validate(state) is first is state.diagnostics
         assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
         assert first.ok and first.gram_rank == 2
+
+
+class TestStackedChecks:
+    """The checks over a (k, n, n) Gram stack with one shared rho, as the
+    flip/decohere scan runs them."""
+
+    @staticmethod
+    def _stack():
+        rng = np.random.default_rng(21)
+        return np.eye(3, dtype=complex) / 3, np.array([random_gram(3, rng) for _ in range(7)])
+
+    def test_residuals_equal_the_single_state_record(self):
+        rho, grams = self._stack()
+        grams[4] *= 1.1
+        residuals = _run_checks(rho, grams)[0]
+        for point, gram in enumerate(grams):
+            state = InterferometerState(rho=rho, gram=gram, purity_flag=False)
+            expected = [check.residual for check in validate(state).checks]
+            np.testing.assert_array_equal(residuals[point], expected)
+
+    def test_first_failing_point_is_named(self):
+        rho, grams = self._stack()
+        # Point 2 fails gram_psd; point 5 fails the earlier gram_unit_diagonal.
+        grams[2] = [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]
+        grams[5] = 1.5 * np.eye(3)
+        for start in (0, 40):
+            with pytest.raises(ValidationError) as info:
+                _raise_first_failure(_run_checks(rho, grams)[0], start)
+            assert info.value.check == "gram_psd"
+            assert f"at grid point {start + 2}:" in str(info.value)
+
+    def test_shared_rho_fails_at_the_first_point(self):
+        rho, grams = self._stack()
+        with pytest.raises(NormalizationError) as info:
+            _raise_first_failure(_run_checks(0.9 * rho, grams)[0], 10)
+        assert info.value.check == "rho_trace"
+        assert "at grid point 10:" in str(info.value)
+        assert info.value.residual == pytest.approx(0.1, abs=1e-12)
 
 
 class TestRandomEnsembleProperties:

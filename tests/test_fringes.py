@@ -1,5 +1,7 @@
 """Fringe pattern simulation, contrast extraction and the flip/decohere scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,16 @@ from dualitylab import (
     ValidationError,
     build_mixed_state,
     build_pure_state,
+    coherence,
+    distinguishability,
     extract_visibility,
     intensity_profile,
     mei_weitz_scan,
     pair_visibility,
     two_slit_pattern,
 )
-from dualitylab.fringes import MAX_SCAN_PATHS, flipped_symmetric_amplitudes, \
-    selective_decoherence_gram
+from dualitylab.fringes import MAX_SCAN_PATHS, MAX_SCAN_POINTS, SCAN_BLOCK_POINTS, \
+    flipped_symmetric_amplitudes, selective_decoherence_gram
 from dualitylab.sampling import random_mixed_state, random_pure_state
 
 from oracles import cosine_series_extrema, flip_scan_visibility, michelson
@@ -331,6 +335,8 @@ class TestMeiWeitzScan:
             mei_weitz_scan(4, 0, [5], [0.5])
         with pytest.raises(ValueError):
             mei_weitz_scan(4, 0, [1], [1.5])
+        with pytest.raises(ValueError):
+            mei_weitz_scan(4, 0, [1], [float("nan")])
         # The scan takes no geometry: it samples no pattern.
         with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))
@@ -340,6 +346,65 @@ class TestMeiWeitzScan:
         with pytest.raises(DimensionError) as excinfo:
             mei_weitz_scan(MAX_SCAN_PATHS + 1, 0, [1], [0.5])
         assert excinfo.value.check == "path_count"
+
+    def test_grid_length_cap(self):
+        # The longest grid spans several stacked blocks.
+        grid = np.linspace(0.0, 1.0, MAX_SCAN_POINTS)
+        scan = mei_weitz_scan(4, 3, [3], grid)
+        assert max(abs(v - flip_scan_visibility(g))
+                   for g, v in zip(grid, scan.visibilities)) <= 1e-12
+        with pytest.raises(ValueError):
+            mei_weitz_scan(4, 3, [3], np.append(grid, 0.5))
+
+
+class TestStackedScan:
+    def test_one_decomposition_per_matrix_per_block(self, spectral_calls):
+        # rho once, the Gram stack once and the effective stack once.
+        for points in (1, 21, SCAN_BLOCK_POINTS):
+            spectral_calls["eigvalsh"] = 0
+            mei_weitz_scan(4, 3, [3], np.linspace(0.0, 1.0, points))
+            assert spectral_calls["eigvalsh"] == 3, points
+        spectral_calls["eigvalsh"] = 0
+        mei_weitz_scan(4, 3, [3], np.linspace(0.0, 1.0, 2 * SCAN_BLOCK_POINTS + 1))
+        assert spectral_calls["eigvalsh"] == 9
+
+    def test_rows_of_different_degree_match_oracle(self):
+        # At g = 0 the outer harmonic vanishes, so those rows have degree 4
+        # in one extrema call with degree-6 rows.
+        grid = [0.0, 0.3, 0.0, 1.0, 0.0, 0.7, 0.5]
+        scan = mei_weitz_scan(4, 3, [3], grid)
+        for g, visibility in zip(grid, scan.visibilities):
+            assert abs(visibility - flip_scan_visibility(g)) <= 1e-12
+
+    def test_every_point_equals_the_single_state_results(self):
+        rng = np.random.default_rng(433)
+        for n in range(5, MAX_SCAN_PATHS + 1):
+            flipped = int(rng.integers(n))
+            decohered = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            grid = [0.0, float(rng.random()), 1.0]
+            scan = mei_weitz_scan(n, flipped, decohered, grid)
+            amplitudes = flipped_symmetric_amplitudes(n, flipped)
+            rho = np.outer(amplitudes, amplitudes.conj())
+            for k, g in enumerate(grid):
+                state = build_mixed_state(rho, selective_decoherence_gram(n, decohered, g))
+                profile = intensity_profile(state, SlitGeometry(n=n, phase_step_count=64))
+                assert abs(scan.visibilities[k] - profile.visibility) <= 1e-12, (n, g)
+                assert abs(scan.coherences[k] - coherence(state)) <= 1e-15, (n, g)
+                assert abs(scan.distinguishabilities[k]
+                           - distinguishability(state)) <= 1e-15, (n, g)
+
+    def test_peak_memory_follows_the_block_not_the_grid(self):
+        def peak(points):
+            grid = np.linspace(0.0, 1.0, points)
+            tracemalloc.start()
+            try:
+                mei_weitz_scan(16, 0, [1, 2], grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mei_weitz_scan(16, 0, [1, 2], [0.5])
+        assert peak(256) <= 1.5 * peak(64)
 
 
 class TestExactExtremaAccuracy:
