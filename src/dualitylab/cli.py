@@ -25,23 +25,45 @@ import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .core_state import InterferometerState, StateDiagnostics, build_mixed_state, \
     build_pure_state, validate
-from .errors import ConfigError, DimensionError, DualityLabError, \
-    NormalizationError, ValidationError
+from .errors import ConfigError, DualityLabError, ValidationError
 from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MAX_SCAN_PATHS, \
     MAX_SCAN_POINTS, MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import MAX_TRIALS, UqsdProblem, build_povm, simulate, success_probability
 
-MODES = ("report", "pairs", "fringes", "meiweitz", "uqsd")
-FORMAT_BY_MODE = {"report": "json", "pairs": "csv", "fringes": "csv",
-                  "meiweitz": "csv", "uqsd": "json"}
-_TOP_LEVEL_KEYS = {"mode", "state", "geometry", "meiweitz", "uqsd", "output"}
+
+class _Mode(NamedTuple):
+    """A mode's artifact format, the config section it requires, the
+    sections it may take besides, and its --help line."""
+
+    format: str
+    section: str
+    optional: tuple[str, ...]
+    help: str
+
+
+_MODE_TABLE = {
+    "report": _Mode("json", "state", (), "full duality report (JSON)"),
+    "pairs": _Mode("csv", "state", (),
+                   "per-pair visibility/distinguishability table (CSV)"),
+    "fringes": _Mode("csv", "state", ("geometry",), "far-field intensity profile (CSV)"),
+    "meiweitz": _Mode("csv", "meiweitz", (),
+                      "phase-flip selective-decoherence scan (CSV)"),
+    "uqsd": _Mode("json", "uqsd", (), "two-state unambiguous discrimination run (JSON)"),
+}
+MODES = tuple(_MODE_TABLE)
+FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
+# Paths in a `state` section.  The slowest state mode, `report` on a mixed
+# state, takes about 5 s and peaks at about 200 MiB at this cap (a 6 MiB
+# config, mostly JSON handling of it and its echo) on a 2-core x86 host.
+MAX_STATE_PATHS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +90,14 @@ class ScenarioConfig:
 
     mode: str
     raw: dict
-    amplitudes: np.ndarray | None
-    detectors: np.ndarray | None
-    rho: np.ndarray | None
-    gram: np.ndarray | None
-    phase_step_count: int
-    meiweitz: MeiWeitzParams | None
-    uqsd: UqsdParams | None
-    output_format: str
-    output_path: str
+    amplitudes: np.ndarray | None = None
+    detectors: np.ndarray | None = None
+    rho: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    phase_step_count: int = DEFAULT_PHASE_STEPS
+    meiweitz: MeiWeitzParams | None = None
+    uqsd: UqsdParams | None = None
+    output_path: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -128,17 +149,23 @@ def _complex_matrix(node, path: str, errors: list[str]) -> np.ndarray | None:
     return np.vstack(rows)
 
 
-def _int_value(node, path: str, errors: list[str]) -> int | None:
+def _in_range(value, path: str, errors: list[str], lo, hi):
+    if lo is not None and not lo <= value <= hi:
+        errors.append(f"{path}: must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _int_value(node, path: str, errors: list[str], lo=None, hi=None) -> int | None:
     if isinstance(node, int) and not isinstance(node, bool):
-        return node
+        return _in_range(node, path, errors, lo, hi)
     errors.append(f"{path}: expected an integer, got {node!r}")
     return None
 
 
-def _real_value(node, path: str, errors: list[str]) -> float | None:
+def _real_value(node, path: str, errors: list[str], lo=None, hi=None) -> float | None:
     if _is_number(node):
         try:
-            return float(node)
+            return _in_range(float(node), path, errors, lo, hi)
         except OverflowError as exc:
             errors.append(f"{path}: {exc}")
             return None
@@ -146,47 +173,54 @@ def _real_value(node, path: str, errors: list[str]) -> float | None:
     return None
 
 
-def _parse_state(node, errors: list[str]):
-    amplitudes = detectors = rho = gram = None
+def _object(node, path: str, keys: set[str], errors: list[str]) -> dict | None:
+    if isinstance(node, dict) and set(node) == keys:
+        return node
+    got = f", got {sorted(node)}" if isinstance(node, dict) else ""
+    errors.append(f"{path}: expected an object with exactly the keys {sorted(keys)}{got}")
+    return None
+
+
+def _parse_state(node, errors: list[str]) -> dict:
     if not isinstance(node, dict):
         errors.append("state: expected an object")
-        return amplitudes, detectors, rho, gram
-    keys = set(node)
-    pure_form = {"amplitudes", "detectors"}
-    mixed_form = {"rho", "gram"}
-    if keys == pure_form:
-        amplitudes = _complex_vector(node["amplitudes"], "state.amplitudes",
-                                     errors, min_length=2)
-        dets = node["detectors"]
-        if not isinstance(dets, list) or not dets:
-            errors.append("state.detectors: expected a non-empty list of vectors")
-        else:
-            detectors = _complex_matrix(dets, "state.detectors", errors)
-    elif keys == mixed_form:
-        rho = _complex_matrix(node["rho"], "state.rho", errors)
-        gram = _complex_matrix(node["gram"], "state.gram", errors)
-    else:
+        return {}
+    if set(node) not in ({"amplitudes", "detectors"}, {"rho", "gram"}):
         errors.append(
             "state: exactly one state spec form required, either "
             "{amplitudes, detectors} or {rho, gram}; got keys "
-            f"{sorted(keys)}")
-    return amplitudes, detectors, rho, gram
+            f"{sorted(node)}")
+        return {}
+    # Each member lists one entry or row per path: count before building.
+    paths = max(len(value) if isinstance(value, list) else 0 for value in node.values())
+    if paths > MAX_STATE_PATHS:
+        errors.append(f"state: at most {MAX_STATE_PATHS} paths, got {paths}")
+        return {}
+    if "rho" in node:
+        return {"rho": _complex_matrix(node["rho"], "state.rho", errors),
+                "gram": _complex_matrix(node["gram"], "state.gram", errors)}
+    return {"amplitudes": _complex_vector(node["amplitudes"], "state.amplitudes",
+                                          errors, min_length=2),
+            "detectors": _complex_matrix(node["detectors"], "state.detectors", errors)}
 
 
-def _parse_meiweitz(node, errors: list[str]) -> MeiWeitzParams | None:
-    if not isinstance(node, dict):
-        errors.append("meiweitz: expected an object")
-        return None
-    required = {"n", "flipped_path", "decohered_paths", "gamma_grid"}
-    if set(node) != required:
-        errors.append(f"meiweitz: expected exactly the keys {sorted(required)}, "
-                      f"got {sorted(node)}")
-        return None
+def _parse_geometry(node, errors: list[str]) -> dict:
+    node = _object(node, "geometry", {"phase_step_count"}, errors)
+    if node is None:
+        return {}
+    return {"phase_step_count": _int_value(
+        node["phase_step_count"], "geometry.phase_step_count", errors,
+        MIN_PHASE_STEPS, MAX_PHASE_STEPS)}
+
+
+def _parse_meiweitz(node, errors: list[str]) -> dict:
+    node = _object(node, "meiweitz",
+                   {"n", "flipped_path", "decohered_paths", "gamma_grid"}, errors)
+    if node is None:
+        return {}
     preexisting = len(errors)
-    n = _int_value(node["n"], "meiweitz.n", errors)
+    n = _int_value(node["n"], "meiweitz.n", errors, 3, MAX_SCAN_PATHS)
     flipped = _int_value(node["flipped_path"], "meiweitz.flipped_path", errors)
-    if n is not None and not 3 <= n <= MAX_SCAN_PATHS:
-        errors.append(f"meiweitz.n: must lie in [3, {MAX_SCAN_PATHS}], got {n}")
     if n is not None and flipped is not None and not 0 <= flipped < n:
         errors.append(f"meiweitz.flipped_path: index {flipped} out of range "
                       f"for n={n}")
@@ -213,46 +247,34 @@ def _parse_meiweitz(node, errors: list[str]) -> MeiWeitzParams | None:
         errors.append(f"meiweitz.gamma_grid: at most {MAX_SCAN_POINTS} points, "
                       f"got {len(raw_grid)}")
     else:
-        for k, entry in enumerate(raw_grid):
-            g = _real_value(entry, f"meiweitz.gamma_grid[{k}]", errors)
-            if g is None:
-                continue
-            if not 0.0 <= g <= 1.0:
-                errors.append(f"meiweitz.gamma_grid[{k}]: value {g} outside [0, 1]")
-            grid.append(g)
+        grid = [_real_value(entry, f"meiweitz.gamma_grid[{k}]", errors, 0, 1)
+                for k, entry in enumerate(raw_grid)]
     if len(errors) > preexisting:
-        return None
-    return MeiWeitzParams(n=n, flipped_path=flipped,
-                          decohered_paths=tuple(decohered),
-                          gamma_grid=tuple(grid))
+        return {}
+    return {"meiweitz": MeiWeitzParams(n=n, flipped_path=flipped,
+                                       decohered_paths=tuple(decohered),
+                                       gamma_grid=tuple(grid))}
 
 
-def _parse_uqsd(node, errors: list[str]) -> UqsdParams | None:
-    if not isinstance(node, dict):
-        errors.append("uqsd: expected an object")
-        return None
-    required = {"d1", "d2", "p1", "trials", "seed"}
-    if set(node) != required:
-        errors.append(f"uqsd: expected exactly the keys {sorted(required)}, "
-                      f"got {sorted(node)}")
-        return None
+def _parse_uqsd(node, errors: list[str]) -> dict:
+    node = _object(node, "uqsd", {"d1", "d2", "p1", "trials", "seed"}, errors)
+    if node is None:
+        return {}
     preexisting = len(errors)
     d1 = _complex_vector(node["d1"], "uqsd.d1", errors)
     d2 = _complex_vector(node["d2"], "uqsd.d2", errors)
     if d1 is not None and d2 is not None and d1.size != d2.size:
         errors.append(f"uqsd: d1 has length {d1.size} but d2 has length {d2.size}")
-    p1 = _real_value(node["p1"], "uqsd.p1", errors)
-    if p1 is not None and not 0.0 <= p1 <= 1.0:
-        errors.append(f"uqsd.p1: value {p1} outside [0, 1]")
-    trials = _int_value(node["trials"], "uqsd.trials", errors)
-    if trials is not None and not 0 < trials <= MAX_TRIALS:
-        errors.append(f"uqsd.trials: must lie in [1, {MAX_TRIALS}], got {trials}")
-    seed = _int_value(node["seed"], "uqsd.seed", errors)
-    if seed is not None and not 0 <= seed < 2**64:
-        errors.append(f"uqsd.seed: must lie in [0, 2**64), got {seed}")
+    p1 = _real_value(node["p1"], "uqsd.p1", errors, 0, 1)
+    trials = _int_value(node["trials"], "uqsd.trials", errors, 1, MAX_TRIALS)
+    seed = _int_value(node["seed"], "uqsd.seed", errors, 0, 2**64 - 1)
     if len(errors) > preexisting:
-        return None
-    return UqsdParams(d1=d1, d2=d2, p1=p1, trials=trials, seed=seed)
+        return {}
+    return {"uqsd": UqsdParams(d1=d1, d2=d2, p1=p1, trials=trials, seed=seed)}
+
+
+_SECTIONS = {"state": _parse_state, "geometry": _parse_geometry,
+             "meiweitz": _parse_meiweitz, "uqsd": _parse_uqsd}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -274,83 +296,37 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be a JSON object"])
 
-    errors: list[str] = []
-    for key in sorted(set(raw) - _TOP_LEVEL_KEYS):
-        errors.append(f"unknown top-level key '{key}'")
-
+    errors = [f"unknown top-level key '{key}'"
+              for key in sorted(set(raw) - {"mode", "output", *_SECTIONS})]
     mode = raw.get("mode")
+    # A tuple test: a list- or dict-valued mode is unhashable.
     if mode not in MODES:
         errors.append(f"mode: expected one of {list(MODES)}, got {mode!r}")
         raise ConfigError(errors)
 
-    amplitudes = detectors = rho = gram = None
-    state_modes = {"report", "pairs", "fringes"}
-    if mode in state_modes:
-        if "state" not in raw:
-            errors.append(f"state: required for mode '{mode}'")
+    spec = _MODE_TABLE[mode]
+    fields = {}
+    for key, parse in _SECTIONS.items():
+        if key not in raw:
+            if key == spec.section:
+                errors.append(f"{key}: required for mode '{mode}'")
+        elif key == spec.section or key in spec.optional:
+            fields.update(parse(raw[key], errors))
         else:
-            amplitudes, detectors, rho, gram = _parse_state(raw["state"], errors)
-    elif "state" in raw:
-        errors.append(f"state: not used in mode '{mode}' (it builds its own states)")
+            errors.append(f"{key}: not used in mode '{mode}'")
 
-    phase_step_count = DEFAULT_PHASE_STEPS
-    if "geometry" in raw:
-        if mode != "fringes":
-            errors.append(f"geometry: not used in mode '{mode}'")
-        elif not isinstance(raw["geometry"], dict) or set(raw["geometry"]) != {"phase_step_count"}:
-            errors.append("geometry: expected an object with exactly the key "
-                          "'phase_step_count'")
-        else:
-            phase_step_count = _int_value(raw["geometry"]["phase_step_count"],
-                                          "geometry.phase_step_count", errors)
-            if phase_step_count is not None and not (
-                    MIN_PHASE_STEPS <= phase_step_count <= MAX_PHASE_STEPS):
-                errors.append(f"geometry.phase_step_count: must lie in "
-                              f"[{MIN_PHASE_STEPS}, {MAX_PHASE_STEPS}], "
-                              f"got {phase_step_count}")
-
-    meiweitz = None
-    if mode == "meiweitz":
-        if "meiweitz" not in raw:
-            errors.append("meiweitz: section required for mode 'meiweitz'")
-        else:
-            meiweitz = _parse_meiweitz(raw["meiweitz"], errors)
-    elif "meiweitz" in raw:
-        errors.append(f"meiweitz: section not used in mode '{mode}'")
-
-    uqsd = None
-    if mode == "uqsd":
-        if "uqsd" not in raw:
-            errors.append("uqsd: section required for mode 'uqsd'")
-        else:
-            uqsd = _parse_uqsd(raw["uqsd"], errors)
-    elif "uqsd" in raw:
-        errors.append(f"uqsd: section not used in mode '{mode}'")
-
-    output_format = ""
-    output_path = ""
-    if "output" not in raw:
-        errors.append("output: section required")
-    elif not isinstance(raw["output"], dict) or set(raw["output"]) != {"format", "path"}:
-        errors.append("output: expected an object with exactly the keys "
-                      "'format' and 'path'")
-    else:
-        output_format = raw["output"]["format"]
-        output_path = raw["output"]["path"]
-        expected = FORMAT_BY_MODE[mode]
-        if output_format != expected:
-            errors.append(f"output.format: mode '{mode}' writes '{expected}', "
-                          f"got {output_format!r}")
-        if not isinstance(output_path, str) or not output_path:
+    output = _object(raw.get("output"), "output", {"format", "path"}, errors)
+    if output is not None:
+        if output["format"] != spec.format:
+            errors.append(f"output.format: mode '{mode}' writes '{spec.format}', "
+                          f"got {output['format']!r}")
+        if not isinstance(output["path"], str) or not output["path"]:
             errors.append("output.path: expected a non-empty string")
+        fields["output_path"] = output["path"]
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        mode=mode, raw=raw, amplitudes=amplitudes, detectors=detectors,
-        rho=rho, gram=gram, phase_step_count=phase_step_count,
-        meiweitz=meiweitz, uqsd=uqsd,
-        output_format=output_format, output_path=output_path)
+    return ScenarioConfig(mode=mode, raw=raw, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +352,13 @@ class ReportDocument:
         return cls(**json.loads(text))
 
 
+# 17 significant digits, so every double round-trips; path labels print as
+# plain integers.
+_NUMBER = "%.17g"
+
+
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return _NUMBER % value
 
 
 def _timestamp() -> str | None:
@@ -437,30 +418,10 @@ def build_report_document(config: ScenarioConfig,
         timestamp=_timestamp())
 
 
-def _pairs_csv(state: InterferometerState) -> tuple[str, tuple[tuple[int, int], ...]]:
-    report = duality_report(state)
-    lines = ["i,j,weight,visibility,distinguishability,slack"]
-    for m in report.pairwise:
-        # 1-based path labels in human-facing tables.
-        lines.append(",".join([str(m.i + 1), str(m.j + 1), _fmt(m.pair_weight),
-                               _fmt(m.visibility), _fmt(m.distinguishability),
-                               _fmt(m.slack)]))
-    return "\n".join(lines) + "\n", report.dark_pairs
-
-
-def _fringes_csv(profile) -> str:
-    lines = ["delta,intensity"]
-    for d, i in zip(profile.delta, profile.intensity):
-        lines.append(f"{_fmt(d)},{_fmt(i)}")
-    return "\n".join(lines) + "\n"
-
-
-def _meiweitz_csv(scan) -> str:
-    lines = ["g,visibility,coherence,distinguishability"]
-    for g, v, c, d in zip(scan.gamma_grid, scan.visibilities,
-                          scan.coherences, scan.distinguishabilities):
-        lines.append(f"{_fmt(g)},{_fmt(v)},{_fmt(c)},{_fmt(d)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    """A table of one tuple of numbers per row, under the given header."""
+    line = ",".join([_NUMBER] * (header.count(",") + 1))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"
 
 
 def _uqsd_problem(params: UqsdParams):
@@ -526,9 +487,8 @@ def _write_atomic(path: str, text: str) -> None:
 def _run_validate_only(config: ScenarioConfig) -> int:
     if config.mode == "report":
         _timestamp()  # raises on a bad SOURCE_DATE_EPOCH, as the real run does
-    if config.mode in {"report", "pairs", "fringes"}:
-        state = _build_state(config)
-        diagnostics = validate(state)
+    if _MODE_TABLE[config.mode].section == "state":
+        diagnostics = validate(_build_state(config))
         for check in diagnostics.checks:
             status = "ok" if check.passed else "FAIL"
             print(f"{check.name}: {status} (residual {_fmt(check.residual)}, "
@@ -550,38 +510,43 @@ def run(config: ScenarioConfig, output_override: str | None = None,
     out_path = output_override if output_override else config.output_path
 
     if config.mode == "report":
-        state = _build_state(config)
-        document = build_report_document(config, state)
-        _write_atomic(out_path, document.to_json())
-        duality = document.duality
-        print(f"wrote {out_path}: coherence={_fmt(duality['coherence'])} "
-              f"distinguishability={_fmt(duality['distinguishability'])} "
-              f"duality_margin={_fmt(duality['duality_margin'])}")
+        document = build_report_document(config, _build_state(config))
+        text, duality = document.to_json(), document.duality
+        summary = (f"coherence={_fmt(duality['coherence'])} "
+                   f"distinguishability={_fmt(duality['distinguishability'])} "
+                   f"duality_margin={_fmt(duality['duality_margin'])}")
     elif config.mode == "pairs":
-        state = _build_state(config)
-        text, dark_pairs = _pairs_csv(state)
-        for i, j in dark_pairs:
+        report = duality_report(_build_state(config))
+        for i, j in report.dark_pairs:
             print(f"warning: pair ({i + 1}, {j + 1}) carries no probability; "
                   "omitted from the table", file=sys.stderr)
-        _write_atomic(out_path, text)
-        print(f"wrote {out_path}: {state.n * (state.n - 1) // 2 - len(dark_pairs)} pairs")
+        # 1-based path labels in human-facing tables.
+        text = _csv("i,j,weight,visibility,distinguishability,slack",
+                    ((m.i + 1, m.j + 1, m.pair_weight, m.visibility,
+                      m.distinguishability, m.slack) for m in report.pairwise))
+        summary = f"{len(report.pairwise)} pairs"
     elif config.mode == "fringes":
         state = _build_state(config)
-        geometry = SlitGeometry(n=state.n, phase_step_count=config.phase_step_count)
-        profile = intensity_profile(state, geometry)
-        _write_atomic(out_path, _fringes_csv(profile))
-        print(f"wrote {out_path}: visibility={_fmt(profile.visibility)}")
+        profile = intensity_profile(
+            state, SlitGeometry(n=state.n, phase_step_count=config.phase_step_count))
+        text = _csv("delta,intensity",
+                    zip(profile.delta.tolist(), profile.intensity.tolist()))
+        summary = f"visibility={_fmt(profile.visibility)}"
     elif config.mode == "meiweitz":
         params = config.meiweitz
         scan = mei_weitz_scan(params.n, params.flipped_path,
                               params.decohered_paths, params.gamma_grid)
-        _write_atomic(out_path, _meiweitz_csv(scan))
-        print(f"wrote {out_path}: {scan.gamma_grid.size} grid points")
-    elif config.mode == "uqsd":
+        text = _csv("g,visibility,coherence,distinguishability",
+                    zip(scan.gamma_grid.tolist(), scan.visibilities.tolist(),
+                        scan.coherences.tolist(), scan.distinguishabilities.tolist()))
+        summary = f"{scan.gamma_grid.size} grid points"
+    else:
         document = build_uqsd_document(config)
-        _write_atomic(out_path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out_path}: analytic={_fmt(document['analytic']['success_probability'])} "
-              f"empirical={_fmt(document['simulation']['success_frequency'])}")
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        summary = (f"analytic={_fmt(document['analytic']['success_probability'])} "
+                   f"empirical={_fmt(document['simulation']['success_frequency'])}")
+    _write_atomic(out_path, text)
+    print(f"wrote {out_path}: {summary}")
     return 0
 
 
@@ -590,15 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dualitylab",
         description="Wave-particle duality laboratory for n-path interference")
     subparsers = parser.add_subparsers(dest="mode", required=True)
-    help_by_mode = {
-        "report": "full duality report (JSON)",
-        "pairs": "per-pair visibility/distinguishability table (CSV)",
-        "fringes": "far-field intensity profile (CSV)",
-        "meiweitz": "phase-flip selective-decoherence scan (CSV)",
-        "uqsd": "two-state unambiguous discrimination run (JSON)",
-    }
-    for mode in MODES:
-        sub = subparsers.add_parser(mode, help=help_by_mode[mode])
+    for mode, spec in _MODE_TABLE.items():
+        sub = subparsers.add_parser(mode, help=spec.help)
         sub.add_argument("--config", required=True, help="scenario JSON file")
         sub.add_argument("--output", default=None,
                          help="override output.path from the config")
@@ -626,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except (NormalizationError, DimensionError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     except DualityLabError as exc:

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError, ValidationError
 
-# Equality-type tolerances (exceed double-precision accumulation error for
-# the n <= 16 matrices this package targets).
+# Equality-type tolerances.  Each must exceed the rounding error of the
+# quantity it checks: a sum of n terms of size at most 1, such as a trace,
+# is off by up to about n * 2.2e-16.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNIT_DIAGONAL_TOL = 1e-12
@@ -95,9 +96,12 @@ def _trace_defect(mat: np.ndarray) -> np.ndarray:
 def _spectrum(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each stacked matrix, so
     eigvalsh sees an exactly Hermitian operand.  Halving before the sum keeps
-    entries near the float limit finite."""
-    half = 0.5 * mat
-    return np.linalg.eigvalsh(half + _adjoint(half))
+    entries near the float limit finite.  A matrix with a non-finite entry
+    has NaN eigenvalues, which fail every spectral check; eigvalsh would
+    return finite values for it, so it decomposes zeros in its place."""
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    half = 0.5 * np.where(finite[..., None, None], mat, 0.0)
+    return np.where(finite[..., None], np.linalg.eigvalsh(half + _adjoint(half)), np.nan)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

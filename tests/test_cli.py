@@ -9,7 +9,7 @@ import pytest
 
 from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
     validate
-from dualitylab.cli import ReportDocument, main, parse_config
+from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, main, parse_config
 from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS
 
 A3 = 0.5773502691896258        # 1/sqrt(3)
@@ -300,7 +300,8 @@ class TestExitCodes:
                                       "not_utf8", "deep_nesting", "huge_integer",
                                       "over_digit_limit", "trials_too_large",
                                       "meiweitz_n_above_cap", "meiweitz_n_huge",
-                                      "meiweitz_grid_above_cap"])
+                                      "meiweitz_grid_above_cap", "pure_state_above_cap",
+                                      "mixed_state_above_cap"])
     def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
                                                          monkeypatch, case):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -336,6 +337,16 @@ class TestExitCodes:
                              "gamma_grid": grid},
                 "output": {"format": "csv", "path": str(out)},
             }
+        elif case == "pure_state_above_cap":
+            n = MAX_STATE_PATHS + 1
+            mode, config = "report", report_config(
+                tmp_path, out_name="out.json",
+                state={"amplitudes": [n ** -0.5] * n, "detectors": [[1, 0]] * n})
+        elif case == "mixed_state_above_cap":
+            n = MAX_STATE_PATHS + 1
+            mode, config = "report", report_config(
+                tmp_path, out_name="out.json",
+                state={"rho": (np.eye(n) / n).tolist(), "gram": np.eye(n).tolist()})
         else:
             mode, config = "report", report_config(tmp_path, out_name="out.json")
         config_path = write_config(tmp_path, "c.json", config)
@@ -417,6 +428,44 @@ class TestExitCodes:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: SOURCE_DATE_EPOCH")
         assert "config valid" not in captured.out
+
+SECTION_BODIES = {
+    "state": SYMMETRIC_STATE,
+    "geometry": {"phase_step_count": 256},
+    "meiweitz": {"n": 4, "flipped_path": 3, "decohered_paths": [3], "gamma_grid": [0.5]},
+    "uqsd": {"d1": [1, 0], "d2": [0.5, B], "p1": 0.5, "trials": 1000, "seed": 1},
+}
+REQUIRED_SECTION = {"report": "state", "pairs": "state", "fringes": "state",
+                    "meiweitz": "meiweitz", "uqsd": "uqsd"}
+OUTPUT_FORMAT = {"report": "json", "pairs": "csv", "fringes": "csv",
+                 "meiweitz": "csv", "uqsd": "json"}
+
+
+class TestSectionRule:
+    @pytest.mark.parametrize("section", sorted(SECTION_BODIES))
+    @pytest.mark.parametrize("mode", sorted(REQUIRED_SECTION))
+    def test_required_and_foreign_sections(self, tmp_path, capsys, mode, section):
+        out = tmp_path / "out"
+        required = REQUIRED_SECTION[mode]
+        config = {"mode": mode, required: SECTION_BODIES[required],
+                  "output": {"format": OUTPUT_FORMAT[mode], "path": str(out)}}
+        if section == required:
+            del config[section]
+            expected = f"{section}: required for mode '{mode}'"
+        else:
+            config[section] = SECTION_BODIES[section]
+            expected = f"{section}: not used in mode '{mode}'"
+        config_path = write_config(tmp_path, "c.json", config)
+        code = main([mode, "--config", config_path])
+        err = capsys.readouterr().err.splitlines()
+        if (mode, section) == ("fringes", "geometry"):
+            # The one optional section: accepted where it is used.
+            assert code == 0 and err == [] and out.exists()
+            return
+        assert code == 2
+        assert err == [f"config error: {expected}"]
+        assert not out.exists()
+
 
 class TestFlags:
     def test_validate_only_writes_nothing(self, tmp_path, capsys):

@@ -239,6 +239,23 @@ class TestValidateDiagnostics:
         assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
         assert first.ok and first.gram_rank == 2
 
+    @pytest.mark.parametrize("matrix", ["rho", "gram"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_non_finite_entry_fails_its_spectral_check(self, spectral_calls, matrix,
+                                                       value, entry):
+        # eigvalsh returns finite eigenvalues for a NaN matrix, so a spectral
+        # check that trusted it would pass with residual 0.
+        arrays = {"rho": np.full((2, 2), 0.5, dtype=complex),
+                  "gram": np.eye(2, dtype=complex)}
+        arrays[matrix][entry] = value
+        diagnostics = validate(InterferometerState(purity_flag=False, **arrays))
+        checks = {check.name: check for check in diagnostics.checks}
+        assert not diagnostics.ok
+        assert not checks[f"{matrix}_psd"].passed
+        assert np.isnan(checks[f"{matrix}_psd"].residual)
+        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+
 
 class TestStackedChecks:
     """The checks over a (k, n, n) Gram stack with one shared rho, as the
