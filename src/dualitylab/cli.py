@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -345,7 +345,9 @@ class ReportDocument:
     timestamp: str | None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # The frozen fields are plain JSON values already, so they need no
+        # deep copy before dumping.
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":

@@ -138,7 +138,8 @@ def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
     n = (harmonics.size + 1) // 2
     spectrum = np.zeros(count, dtype=complex)
     np.add.at(spectrum, np.arange(1 - n, n) % count, harmonics)
-    return np.fft.ifft(spectrum, norm="forward").real
+    # The folded spectrum is Hermitian, so its real inverse is the pattern.
+    return np.fft.irfft(spectrum[:count // 2 + 1], count, norm="forward")
 
 
 def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

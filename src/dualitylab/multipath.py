@@ -139,7 +139,8 @@ def duality_report(state: InterferometerState) -> DualityReport:
             check="duality_bound", residual=margin, tolerance=DUALITY_TOL)
 
     table = _pair_table(state)
-    lit = table._make(column[~table.dark] for column in table)
+    lit_mask = ~table.dark
+    lit = table._make(column[lit_mask] for column in table)
     _check_pairs(lit.i, lit.j, lit.visibility, lit.distinguishability, lit.slack)
 
     symmetric = is_symmetric(state)
@@ -161,6 +162,6 @@ def duality_report(state: InterferometerState) -> DualityReport:
     dark = zip(table.i[table.dark].tolist(), table.j[table.dark].tolist())
     return DualityReport(
         n=n, coherence=coh, distinguishability=dist,
-        pairwise=tuple(PairMetrics(*row) for row in rows), dark_pairs=tuple(dark),
+        pairwise=tuple(map(PairMetrics._make, rows)), dark_pairs=tuple(dark),
         symmetric_sum_lhs=symmetric_sum, weighted_sum_lhs=weighted_sum,
         duality_margin=margin, is_symmetric=symmetric)

@@ -25,7 +25,7 @@ Path indices are 0-based throughout the API (human-readable CLI tables are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +41,7 @@ IDENTITY_TOL = 1e-10
 SLACK_FLOOR = -1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class PairMetrics:
+class PairMetrics(NamedTuple):
     """Visibility/distinguishability bundle for one pair of open paths.
 
     ``pair_weight`` is rho_ii + rho_jj, the probability that the quanton is
@@ -72,12 +71,16 @@ class _PairTable(NamedTuple):
 
 
 def _pair_values(p_i, p_j, rho_ij, gram_ij, weight):
-    """(V, D, slack) of the formulas above, for scalars or arrays of pairs."""
-    abs_gram = abs(gram_ij)
-    root = (p_i * p_j) ** 0.5
-    visibility = 2.0 * abs(rho_ij) * abs_gram / weight
+    """(V, D, slack) of the formulas above, for scalars or arrays of pairs.
+
+    The ufuncs round a scalar pair exactly as its row of the pair table,
+    where the builtin ``abs`` of a complex scalar can differ by an ulp."""
+    abs_gram = np.abs(gram_ij)
+    abs_rho = np.abs(rho_ij)
+    root = np.sqrt(p_i * p_j)
+    visibility = 2.0 * abs_rho * abs_gram / weight
     distinguishability = 1.0 - 2.0 * root * abs_gram / weight
-    slack = 2.0 * (root - abs(rho_ij)) * abs_gram / weight
+    slack = 2.0 * (root - abs_rho) * abs_gram / weight
     return visibility, distinguishability, slack
 
 
@@ -97,9 +100,20 @@ def _pair_parts(state: InterferometerState, i: int, j: int):
     return max(p_i, 0.0), max(p_j, 0.0), state.rho[i, j], state.gram[i, j], weight
 
 
+# Each cached n holds 8 n(n-1) bytes of indices (0.5 MiB at n = 256).
+@lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of every pair i < j in ascending (i, j) order,
+    read-only because every table built at this n shares them."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _pair_table(state: InterferometerState) -> _PairTable:
     """All pair metrics of ``state`` at once, through the same formulas."""
-    i, j = np.triu_indices(state.n, 1)
+    i, j = _pair_indices(state.n)
     diag = state.rho.diagonal().real
     probs = np.maximum(diag, 0.0)
     weight = diag[i] + diag[j]

@@ -1,6 +1,7 @@
 """CLI parsing, artifact writing, exit codes and determinism."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
     validate
-from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, main, parse_config
+from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, build_report_document, main, \
+    parse_config
 from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS
 
 A3 = 0.5773502691896258        # 1/sqrt(3)
@@ -159,6 +161,21 @@ class TestReportMode:
         document = ReportDocument.from_json(text)
         assert document.to_json() == text
         assert ReportDocument.from_json(document.to_json()) == document
+
+    def test_to_json_matches_deep_copied_dump(self, tmp_path):
+        # The last two paths carry nothing, so the 0-based pair (2, 3) is dark.
+        state = {"rho": [[0.5, [0.1, 0.2], 0, 0], [[0.1, -0.2], 0.5, 0, 0],
+                         [0, 0, 0, 0], [0, 0, 0, 0]],
+                 "gram": [[1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+        config = parse_config(json.dumps(report_config(tmp_path, state=state)))
+        document = build_report_document(
+            config, build_mixed_state(config.rho, config.gram))
+        assert document.duality["dark_pairs"] == [[2, 3]]
+        text = document.to_json()
+        assert text == json.dumps(dataclasses.asdict(document), indent=2,
+                                  sort_keys=True) + "\n"
+        assert ReportDocument.from_json(text) == document
+        assert ReportDocument.from_json(text).to_json() == text
 
     def test_orthogonal_detector_report(self, tmp_path):
         state = {"amplitudes": [A3, A3, A3],

@@ -150,6 +150,22 @@ class TestExactExtrema:
         assert abs(profile.i_min) <= 1e-12
         assert abs(profile.visibility - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("phi", [0.0, 1e-9, 1e-5])
+    def test_clustered_critical_points_near_pi(self, phi):
+        # I = 1 + cos(delta) + b cos(2 delta), shifted by phi.  At b = 1/4 the
+        # derivative has a triple zero at delta = pi; just above it, three
+        # critical points cluster there.  In x = cos(delta), I is a parabola
+        # with its vertex at x = -1/(4b), so the minimum is b (at x = -1) or
+        # 1 - 1/(8b) - b (at the vertex).
+        phase = np.exp(1j * phi * np.arange(3))
+        for eps in np.logspace(-10, -2, 41):
+            b = 0.25 + eps
+            rho = np.array([[1 / 3, 1 / 4, b / 2], [1 / 4, 1 / 3, 1 / 4],
+                            [b / 2, 1 / 4, 1 / 3]]) * np.outer(phase, phase.conj())
+            profile = intensity_profile(build_mixed_state(rho, np.ones((3, 3))))
+            assert abs(profile.i_min - min(b, 1.0 - 1.0 / (8.0 * b) - b)) <= 1e-12
+            assert abs(profile.i_max - (2.0 + b)) <= 1e-12
+
     def test_dark_outer_paths_lower_the_degree(self):
         # Slits 0 and 4 carry nothing: the pattern is the three-slit
         # 1 - (4/3)cos(delta) + (2/3)cos(2 delta).

@@ -5,13 +5,16 @@ import pytest
 
 from dualitylab import (
     DarkPairError,
+    PairMetrics,
     build_mixed_state,
     build_pure_state,
+    duality_report,
     open_pair,
     pair_distinguishability,
     pair_metrics,
     pair_visibility,
 )
+from dualitylab.pairwise import _pair_indices
 from dualitylab.sampling import random_mixed_state, random_pure_state
 
 ISQ2 = 1.0 / np.sqrt(2.0)
@@ -132,6 +135,47 @@ class TestPairMetrics:
         assert a.distinguishability == pytest.approx(b.distinguishability, abs=1e-15)
         assert a.slack == pytest.approx(b.slack, abs=1e-15)
         assert a.pair_weight == pytest.approx(b.pair_weight, abs=1e-15)
+
+
+class TestPairRows:
+    def test_row_type(self):
+        assert PairMetrics._fields == ("i", "j", "visibility", "distinguishability",
+                                       "slack", "pair_weight")
+        m = pair_metrics(random_mixed_state(3, np.random.default_rng(29)), 0, 2)
+        with pytest.raises(AttributeError):
+            m.visibility = 0.5
+        with pytest.raises(AttributeError):
+            m.label = "pair"
+
+    def test_report_rows_equal_pair_metrics(self):
+        rng = np.random.default_rng(31)
+        rho = np.zeros((5, 5), dtype=complex)
+        rho[1:4, 1:4] = random_mixed_state(3, rng).rho
+        states = [random_mixed_state(6, rng), random_pure_state(4, rng),
+                  build_mixed_state(rho, np.ones((5, 5)))]
+        for state in states:
+            report = duality_report(state)
+            for row in report.pairwise:
+                assert type(row) is PairMetrics
+                assert pair_metrics(state, row.i, row.j) == row
+            pairs = [(row.i, row.j) for row in report.pairwise] + list(report.dark_pairs)
+            assert sorted(pairs) == [(i, j) for i in range(state.n)
+                                     for j in range(i + 1, state.n)]
+        assert report.dark_pairs == ((0, 4),)
+
+    def test_pair_indices_are_shared_and_read_only(self, monkeypatch):
+        calls = []
+        triu_indices = np.triu_indices
+        monkeypatch.setattr(np, "triu_indices",
+                            lambda *args: calls.append(args) or triu_indices(*args))
+        state = random_mixed_state(7, np.random.default_rng(37))
+        for _ in range(3):
+            duality_report(state)
+        assert len(calls) <= 1
+        for index in _pair_indices(7):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 class TestErrors:
