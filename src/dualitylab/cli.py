@@ -60,9 +60,10 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
-# Paths in a `state` section.  The slowest state mode, `report` on a mixed
-# state, takes about 5 s and peaks at about 200 MiB at this cap (a 6 MiB
-# config, mostly JSON handling of it and its echo) on a 2-core x86 host.
+# Paths in a `state` section.  The slowest state mode, `fringes` on a mixed
+# state at MAX_PHASE_STEPS, takes about 3-4 s and peaks at about 285 MiB at
+# this cap (a 6 MiB config) on a 2-core x86 host; `report` takes 2-3 s and
+# 190 MiB, mostly JSON handling of the config and its echo.
 MAX_STATE_PATHS = 256
 
 

@@ -35,9 +35,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNIT_DIAGONAL_TOL = 1e-12
 DETECTOR_NORM_TOL = 1e-12
+# Held against the amplitudes' squared norm, a sum of n squares.
+AMPLITUDE_NORM_TOL = 1e-10
 # Spectral tolerances.
 PSD_TOL = 1e-10          # smallest eigenvalue may not drop below -PSD_TOL
-AMPLITUDE_NORM_TOL = 1e-10
 PURITY_TOL = 1e-10       # rank-one detection: top eigenvalue within this of 1
 
 # The structural invariants in report order, each with its tolerance.
@@ -81,6 +82,30 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return vec
 
 
+def _as_unit_vectors(values, names, check: str, tolerance: float) -> list[np.ndarray]:
+    """Each of ``values`` as a finite, non-empty complex vector of unit norm;
+    a norm off by more than ``tolerance`` fails ``check``."""
+    vecs = [_as_complex_vector(vec, name) for vec, name in zip(values, names)]
+    # Norms past the float limit overflow to inf, which fails their checks.
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(vec)) for vec in vecs]
+    for name, norm in zip(names, norms):
+        if abs(norm - 1.0) > tolerance:
+            raise NormalizationError(f"{name} has norm {norm!r}, expected 1",
+                                     check=check, residual=abs(norm - 1.0),
+                                     tolerance=tolerance)
+    return vecs
+
+
+def _store_read_only(instance, dtype, *names: str) -> None:
+    """Replace each named array field of a frozen dataclass by a read-only
+    ``dtype`` copy, so the instance neither aliases nor alters its inputs."""
+    for name in names:
+        arr = np.array(getattr(instance, name), dtype=dtype, copy=True)
+        arr.setflags(write=False)
+        object.__setattr__(instance, name, arr)
+
+
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2).conj()
 
@@ -102,12 +127,6 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     finite = np.isfinite(mat).all(axis=(-2, -1))
     half = 0.5 * np.where(finite[..., None, None], mat, 0.0)
     return np.where(finite[..., None], np.linalg.eigvalsh(half + _adjoint(half)), np.nan)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +174,7 @@ class InterferometerState:
     purity_flag: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", _frozen(self.rho))
-        object.__setattr__(self, "gram", _frozen(self.gram))
+        _store_read_only(self, complex, "rho", "gram")
 
     @property
     def n(self) -> int:
@@ -283,23 +301,18 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
             check="amplitude_norm", residual=abs(norm2 - 1.0),
             tolerance=AMPLITUDE_NORM_TOL)
 
-    vecs = [_as_complex_vector(d, f"detectors[{k}]") for k, d in enumerate(detectors)]
-    if len(vecs) != n:
-        raise DimensionError(
-            f"got {len(vecs)} detector states for {n} paths", check="detector_count")
+    detectors = list(detectors)
+    if len(detectors) != n:
+        raise DimensionError(f"got {len(detectors)} detector states for {n} paths",
+                             check="detector_count")
+    names = [f"detectors[{k}]" for k in range(n)]
+    vecs = _as_unit_vectors(detectors, names, "detector_norm", DETECTOR_NORM_TOL)
     dim = vecs[0].size
-    with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(vec)) for vec in vecs]
-    for k, (vec, norm) in enumerate(zip(vecs, norms)):
+    for k, vec in enumerate(vecs):
         if vec.size != dim:
             raise DimensionError(
                 f"detectors[{k}] has length {vec.size}, expected {dim}",
                 check="detector_dimension")
-        if abs(norm - 1.0) > DETECTOR_NORM_TOL:
-            raise NormalizationError(
-                f"detectors[{k}] has norm {norm!r}, expected 1",
-                check="detector_norm", residual=abs(norm - 1.0),
-                tolerance=DETECTOR_NORM_TOL)
 
     stacked = np.vstack(vecs)
     # gram[i, j] = <d_j|d_i> = sum_k conj(d_j[k]) d_i[k]

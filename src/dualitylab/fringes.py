@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_state import InterferometerState, _raise_first_failure, _run_checks, \
-    effective_density
+    _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -91,10 +91,7 @@ class FringeProfile:
     visibility: float
 
     def __post_init__(self) -> None:
-        for name in ("delta", "intensity"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _store_read_only(self, float, "delta", "intensity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +111,8 @@ class MeiWeitzScan:
     decohered_paths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("gamma_grid", "visibilities", "coherences",
-                     "distinguishabilities"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _store_read_only(self, float, "gamma_grid", "visibilities", "coherences",
+                         "distinguishabilities")
 
 
 def _harmonics(stack: np.ndarray) -> np.ndarray:
@@ -184,6 +178,18 @@ def _michelson(i_max, i_min):
     return (i_max - i_min) / total
 
 
+def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
+    """Sample count of ``geometry``, which must have ``n`` slits, or of the
+    default n-slit geometry when it is None."""
+    if geometry is None:
+        geometry = SlitGeometry(n=n)
+    if geometry.n != n:
+        raise DimensionError(
+            f"geometry has {geometry.n} slits but the pattern needs {n}",
+            check="slit_count")
+    return geometry.phase_step_count
+
+
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
     harmonics = _harmonics(matrix[None])
     i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
@@ -196,13 +202,8 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
 def intensity_profile(state: InterferometerState,
                       geometry: SlitGeometry | None = None) -> FringeProfile:
     """Far-field pattern of the full effective state over one period."""
-    if geometry is None:
-        geometry = SlitGeometry(n=state.n)
-    if geometry.n != state.n:
-        raise DimensionError(
-            f"geometry has {geometry.n} slits but the state has {state.n} paths",
-            check="slit_count")
-    return _profile_from_matrix(effective_density(state), geometry.phase_step_count)
+    count = _phase_steps(geometry, state.n)
+    return _profile_from_matrix(effective_density(state), count)
 
 
 def extract_visibility(profile: FringeProfile) -> float:
@@ -220,14 +221,8 @@ def two_slit_pattern(state: InterferometerState, i: int, j: int,
     The visibility of this profile equals the closed-form pair visibility
     2 |R_01| to rounding.
     """
-    if geometry is None:
-        geometry = SlitGeometry(n=2)
-    if geometry.n != 2:
-        raise DimensionError(
-            f"two-slit geometry must have n=2, got {geometry.n}",
-            check="slit_count")
-    reduced = open_pair(state, i, j)
-    return _profile_from_matrix(reduced, geometry.phase_step_count)
+    count = _phase_steps(geometry, 2)
+    return _profile_from_matrix(open_pair(state, i, j), count)
 
 
 def flipped_symmetric_amplitudes(n: int, flipped_path: int) -> np.ndarray:

@@ -5,11 +5,18 @@ Blocking all paths except i and j leaves the renormalized 2x2 state
     [[rho_ii,            rho_ij gram_ij],
      [rho_ji gram_ji,    rho_jj        ]] / (rho_ii + rho_jj),
 
-whose fringe visibility and optimal unambiguous path-discrimination
-probability are
+whose fringe visibility and Ivanovic-Dieks-Peres (IDP) unambiguous
+path-discrimination probability are
 
     V_ij = 2 |rho_ij| |gram_ij| / (rho_ii + rho_jj)
     D_ij = 1 - 2 sqrt(rho_ii rho_jj) |gram_ij| / (rho_ii + rho_jj).
+
+D_ij is the optimal success probability only while
+|gram_ij| <= min(sqrt(rho_ii/rho_jj), sqrt(rho_jj/rho_ii)), the
+``in_optimal_regime`` rule of ``uqsd.success_probability``.  Outside that
+range the optimum is p_max (1 - |gram_ij|^2), with p_max the larger of the
+two renormalized path probabilities (Jaeger and Shimony, Phys. Lett. A 197,
+83 (1995)), and D_ij exceeds it.
 
 They close to an exact identity V_ij + D_ij + slack_ij = 1 with
 
@@ -162,11 +169,13 @@ def pair_visibility(state: InterferometerState, i: int, j: int) -> float:
 
 
 def pair_distinguishability(state: InterferometerState, i: int, j: int) -> float:
-    """Optimal probability of unambiguously telling path i from path j.
+    """IDP probability of unambiguously telling path i from path j.
 
     Evaluates 1 - 2 sqrt(rho_ii rho_jj) |gram_ij| / (rho_ii + rho_jj), the
-    optimal two-state unambiguous-discrimination success probability with
-    priors rho_ii/(rho_ii+rho_jj) and rho_jj/(rho_ii+rho_jj).
+    Ivanovic-Dieks-Peres two-state unambiguous-discrimination success
+    probability with priors rho_ii/(rho_ii+rho_jj) and rho_jj/(rho_ii+rho_jj).
+    It is the optimum only where ``uqsd.success_probability`` reports
+    ``in_optimal_regime``; elsewhere it exceeds what any measurement attains.
     """
     return _pair_values(*_pair_parts(state, i, j))[1]
 

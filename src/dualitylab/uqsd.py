@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core_state import _as_unit_vectors, _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 PRIOR_SUM_TOL = 1e-12
@@ -52,20 +53,14 @@ class SuccessProbability(NamedTuple):
     in_optimal_regime: bool
 
 
-def _as_unit_vector(values, name: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=complex)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 1-d vector", check="vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError(f"{name} contains non-finite entries", check="finite")
-    # A norm past the float limit overflows to inf, which fails its check.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise NormalizationError(f"{name} has norm {norm!r}, expected 1",
-                                 check="state_norm", residual=abs(norm - 1.0),
-                                 tolerance=STATE_NORM_TOL)
-    return vec
+def _check_priors(p1: float, p2: float) -> None:
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+        raise ValidationError(f"priors ({p1}, {p2}) must lie in [0, 1]",
+                              check="prior_range")
+    if abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
+        raise NormalizationError(f"priors sum to {p1 + p2!r}, expected 1",
+                                 check="prior_sum", residual=abs(p1 + p2 - 1.0),
+                                 tolerance=PRIOR_SUM_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +68,8 @@ class UqsdProblem:
     """Two normalized detector states with prior probabilities.
 
     Identical (|overlap| = 1) states are rejected: they carry no which-path
-    information and cannot be discriminated at all.
+    information and cannot be discriminated at all.  ``d1`` and ``d2`` are
+    stored as read-only copies.
     """
 
     d1: np.ndarray
@@ -82,28 +78,18 @@ class UqsdProblem:
     p2: float
 
     def __post_init__(self) -> None:
-        d1 = _as_unit_vector(self.d1, "d1")
-        d2 = _as_unit_vector(self.d2, "d2")
+        _store_read_only(self, complex, "d1", "d2")
+        d1, d2 = _as_unit_vectors((self.d1, self.d2), ("d1", "d2"), "state_norm",
+                                  STATE_NORM_TOL)
         if d1.size != d2.size:
             raise DimensionError(
                 f"d1 and d2 must share a dimension, got {d1.size} vs {d2.size}",
                 check="state_dimension")
-        if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-            raise ValidationError(f"priors ({self.p1}, {self.p2}) must lie in [0, 1]",
-                                  check="prior_range")
-        if abs(self.p1 + self.p2 - 1.0) > PRIOR_SUM_TOL:
-            raise NormalizationError(
-                f"priors sum to {self.p1 + self.p2!r}, expected 1",
-                check="prior_sum", residual=abs(self.p1 + self.p2 - 1.0),
-                tolerance=PRIOR_SUM_TOL)
+        _check_priors(self.p1, self.p2)
         if abs(np.vdot(d1, d2)) >= 1.0 - STATE_NORM_TOL:
             raise ValidationError(
                 "d1 and d2 are (numerically) identical and cannot be "
                 "unambiguously discriminated", check="overlap_strict")
-        d1.setflags(write=False)
-        d2.setflags(write=False)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
 
     @property
     def overlap(self) -> complex:
@@ -121,13 +107,9 @@ class UqsdPovm:
     e2: np.ndarray
     e_fail: np.ndarray
     basis: np.ndarray
-    in_optimal_regime: bool
 
     def __post_init__(self) -> None:
-        for name in ("e1", "e2", "e_fail", "basis"):
-            arr = np.array(getattr(self, name), dtype=complex, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _store_read_only(self, complex, "e1", "e2", "e_fail", "basis")
 
 
 def success_probability(p1: float, p2: float,
@@ -138,12 +120,7 @@ def success_probability(p1: float, p2: float,
     bound is attainable (s <= min(sqrt(p1/p2), sqrt(p2/p1))).  The formula
     value is returned regardless of the flag.
     """
-    if abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
-        raise NormalizationError(f"priors sum to {p1 + p2!r}, expected 1",
-                                 check="prior_sum")
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValidationError(f"priors ({p1}, {p2}) must lie in [0, 1]",
-                              check="prior_range")
+    _check_priors(p1, p2)
     s = float(overlap_magnitude)
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"overlap magnitude {s!r} must lie in [0, 1]",
@@ -220,8 +197,7 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
             f"value {analytic.value!r}", check="povm_success",
             residual=abs(success - analytic.value), tolerance=COMPLETENESS_TOL)
 
-    return UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis,
-                    in_optimal_regime=True)
+    return UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis)
 
 
 @dataclass(frozen=True, eq=False)

@@ -225,6 +225,19 @@ class TestTableModes:
         assert first[:2] == ["1", "2"]
         assert float(first[2]) == pytest.approx(0.8, abs=1e-12)
 
+    def test_pairs_dark_pair_is_a_warning(self, tmp_path, capsys):
+        config = {
+            "mode": "pairs",
+            "state": {"amplitudes": [1, 0, 0], "detectors": [[1, 0]] * 3},
+            "output": {"format": "csv", "path": str(tmp_path / "pairs.csv")},
+        }
+        config_path = write_config(tmp_path, "c.json", config)
+        assert main(["pairs", "--config", config_path]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: pair (2, 3) carries no probability; omitted from the table"]
+        lines = (tmp_path / "pairs.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "2"], ["1", "3"]]
+
     def test_fringes_csv_and_summary(self, tmp_path, capsys):
         config = {
             "mode": "fringes",
@@ -317,12 +330,17 @@ class TestExitCodes:
                                       "not_utf8", "deep_nesting", "huge_integer",
                                       "over_digit_limit", "trials_too_large",
                                       "meiweitz_n_above_cap", "meiweitz_n_huge",
-                                      "meiweitz_grid_above_cap", "pure_state_above_cap",
-                                      "mixed_state_above_cap"])
+                                      "meiweitz_grid_above_cap", "meiweitz_duplicate_paths",
+                                      "pure_state_above_cap", "mixed_state_above_cap",
+                                      "top_level_list", "output_is_directory"])
     def test_bad_outside_input_is_one_line_config_error(self, tmp_path, capsys,
                                                          monkeypatch, case):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         out = tmp_path / "out.json"
+        extra = []
+        expected = {"meiweitz_duplicate_paths": "meiweitz.decohered_paths: duplicate indices",
+                    "top_level_list": "top-level document must be a JSON object",
+                    "output_is_directory": "cannot write "}.get(case, "")
         if case == "negative_seed":
             mode, config = "uqsd", {
                 "mode": "uqsd",
@@ -348,9 +366,10 @@ class TestExitCodes:
             n = {"meiweitz_n_above_cap": MAX_SCAN_PATHS + 1,
                  "meiweitz_n_huge": 10**400}.get(case, 4)
             grid = [0.5] * (MAX_SCAN_POINTS + 1 if case == "meiweitz_grid_above_cap" else 1)
+            decohered = [3, 3] if case == "meiweitz_duplicate_paths" else [3]
             mode, config = "meiweitz", {
                 "mode": "meiweitz",
-                "meiweitz": {"n": n, "flipped_path": 3, "decohered_paths": [3],
+                "meiweitz": {"n": n, "flipped_path": 3, "decohered_paths": decohered,
                              "gamma_grid": grid},
                 "output": {"format": "csv", "path": str(out)},
             }
@@ -366,6 +385,11 @@ class TestExitCodes:
                 state={"rho": (np.eye(n) / n).tolist(), "gram": np.eye(n).tolist()})
         else:
             mode, config = "report", report_config(tmp_path, out_name="out.json")
+        if case == "top_level_list":
+            config = []
+        elif case == "output_is_directory":
+            (tmp_path / "taken").mkdir()
+            extra = ["--output", str(tmp_path / "taken")]
         config_path = write_config(tmp_path, "c.json", config)
         text = (tmp_path / "c.json").read_text(encoding="utf-8")
         if case == "not_utf8":
@@ -379,10 +403,11 @@ class TestExitCodes:
         elif case == "over_digit_limit":
             # Longer than the 4300 digits int() accepts from a string.
             (tmp_path / "c.json").write_text(text.replace(str(A3), "1" * 5000, 1))
-        assert main([mode, "--config", config_path]) == 2
+        assert main([mode, "--config", config_path] + extra) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert len(err) == 1 and err[0].startswith("config error: " + expected)
         assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-dualitylab-*"))
 
 
     @pytest.mark.parametrize("case", ["amplitude", "detector", "rho", "uqsd_d1"])

@@ -7,6 +7,7 @@ from dualitylab import (
     DimensionError,
     InterferometerState,
     NormalizationError,
+    UqsdProblem,
     ValidationError,
     build_mixed_state,
     build_pure_state,
@@ -69,20 +70,35 @@ class TestBuildPureState:
             build_pure_state([0.9, 0.1], [(1, 0), (0, 1)])
 
     def test_mismatched_detector_dimensions(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             build_pure_state([ISQ2, ISQ2], [(1, 0), (0, 1, 0)])
+        assert info.value.check == "detector_dimension"
 
     def test_wrong_detector_count(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             build_pure_state([ISQ2, ISQ2], [(1, 0)])
+        assert info.value.check == "detector_count"
 
     def test_non_unit_detector(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError) as info:
             build_pure_state([ISQ2, ISQ2], [(1, 0), (0.5, 0.5)])
+        assert info.value.check == "detector_norm"
 
     def test_single_path_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             build_pure_state([1.0], [(1, 0)])
+        assert info.value.check == "path_count"
+
+    @pytest.mark.parametrize("amplitudes,detectors,error,check", [
+        ([[ISQ2, ISQ2]], [(1, 0), (0, 1)], DimensionError, "vector"),
+        ([ISQ2, ISQ2], [(1, 0), [(0, 1)]], DimensionError, "vector"),
+        ([ISQ2, ISQ2], [(1, 0), (np.nan, 1)], ValidationError, "finite"),
+    ])
+    def test_rejection_names_its_check(self, amplitudes, detectors, error, check):
+        with pytest.raises(ValidationError) as info:
+            build_pure_state(amplitudes, detectors)
+        assert type(info.value) is error
+        assert info.value.check == check
 
 
 class TestBuildMixedState:
@@ -125,6 +141,11 @@ class TestBuildMixedState:
         with pytest.raises(DimensionError):
             build_mixed_state(np.ones((2, 3)) / 6, np.eye(3))
 
+    def test_single_path_rejected(self):
+        with pytest.raises(DimensionError) as info:
+            build_mixed_state([[1]], [[1]])
+        assert info.value.check == "path_count"
+
     def test_non_finite(self):
         rho = np.eye(2, dtype=complex) / 2
         rho[0, 1] = np.nan
@@ -153,6 +174,19 @@ class TestBuildMixedState:
         assert state.rho[0, 0] == 0.5
         with pytest.raises(ValueError):
             state.rho[0, 0] = 0.0  # read-only
+
+        # Complex views pass through asarray uncopied, so a stored view
+        # would follow later edits of the caller's array.
+        base = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]], dtype=complex)
+        d1, d2 = base
+        problem = UqsdProblem(d1=d1, d2=d2, p1=0.5, p2=0.5)
+        base[1] = [0.0, 1.0]
+        np.testing.assert_array_equal(problem.d1, [1.0, 0.0])
+        np.testing.assert_array_equal(problem.d2, [0.5, np.sqrt(3.0) / 2.0])
+        assert abs(problem.overlap) == 0.5
+        assert d1.flags.writeable and d2.flags.writeable
+        with pytest.raises(ValueError):
+            problem.d1[0] = 0.0  # read-only
 
 
 class TestEffectiveDensity:

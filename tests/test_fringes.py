@@ -52,8 +52,9 @@ class TestSlitGeometry:
 
     def test_mismatch_with_state(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             intensity_profile(state, SlitGeometry(n=3))
+        assert info.value.check == "slit_count"
 
 
 class TestIntensityProfile:
@@ -263,8 +264,9 @@ class TestTwoSlitOracle:
 
     def test_rejects_wide_geometry(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             two_slit_pattern(state, 0, 1, SlitGeometry(n=3))
+        assert info.value.check == "slit_count"
 
 
 class TestScanHelpers:

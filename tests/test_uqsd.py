@@ -65,28 +65,51 @@ class TestSuccessProbability:
         assert not success_probability(0.0, 1.0, 0.5).in_optimal_regime
 
     def test_bad_priors(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError) as info:
             success_probability(0.5, 0.6, 0.1)
-        with pytest.raises(ValidationError):
+        assert info.value.check == "prior_sum"
+        # These sum to 1, so only the range rule fails.
+        with pytest.raises(ValidationError) as info:
+            success_probability(1.2, -0.2, 0.1)
+        assert type(info.value) is ValidationError
+        assert info.value.check == "prior_range"
+        with pytest.raises(ValidationError) as info:
             success_probability(0.5, 0.5, 1.5)
+        assert info.value.check == "overlap_range"
 
 
 class TestProblemValidation:
     def test_identical_states_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             UqsdProblem(d1=E1, d2=E1, p1=0.5, p2=0.5)
+        assert info.value.check == "overlap_strict"
 
     def test_non_unit_state(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError) as info:
             UqsdProblem(d1=np.array([0.5, 0.5]), d2=E2, p1=0.5, p2=0.5)
+        assert info.value.check == "state_norm"
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             UqsdProblem(d1=E1, d2=np.array([0, 0, 1.0]), p1=0.5, p2=0.5)
+        assert info.value.check == "state_dimension"
 
     def test_prior_sum(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError) as info:
             UqsdProblem(d1=E1, d2=E2, p1=0.5, p2=0.6)
+        assert info.value.check == "prior_sum"
+
+    @pytest.mark.parametrize("changes,error,check", [
+        ({"d1": [[1, 0]]}, DimensionError, "vector"),
+        ({"d2": [np.nan, 1]}, ValidationError, "finite"),
+        # These sum to 1, so only the range rule fails.
+        ({"p1": 1.2, "p2": -0.2}, ValidationError, "prior_range"),
+    ])
+    def test_rejection_names_its_check(self, changes, error, check):
+        with pytest.raises(ValidationError) as info:
+            UqsdProblem(**{"d1": E1, "d2": E2, "p1": 0.5, "p2": 0.5, **changes})
+        assert type(info.value) is error
+        assert info.value.check == check
 
 
 class TestBuildPovm:
