@@ -14,11 +14,17 @@ period is therefore well defined and, for a two-slit pattern, equals
 
 Samples and extrema both come from the harmonics c_m = sum_{j-k=m} R_jk.
 Samples are one inverse FFT of the harmonics folded onto the grid, exact for
-any sample count.  The extrema are exact: I is evaluated at delta = 0 and at
-the angle of every root of z^(n-1) I'(z), a degree-2(n-1) polynomial in
-z = exp(i delta) whose unit-circle roots are the critical points (companion
-matrix rootfinding, J. P. Boyd, J. Eng. Math. 56, 2006).  Every point of the
-circle lies between the extrema, so off-circle roots need no tolerance.
+any sample count.  The extrema are exact: I is evaluated at every critical
+point, found by a real eigensolve along one of two paths chosen per pattern.
+A real pattern (c_-m = c_m, as for real rho and Gram matrices, and for every
+pattern with one harmonic pair once translated) is a Chebyshev series in
+x = cos(delta); its critical points are x = +-1 and the roots of dI/dx, the
+eigenvalues of a colleague matrix (J. P. Boyd, SIAM Rev. 55, 2013).  For a
+complex pattern they are the unit-circle roots of z^M I'(z); the Cayley
+transform of that polynomial's companion matrix has eigenvalues
+tan(delta / 2) and, by the polynomial's symmetry, is a real matrix in a
+suitable basis.  Every point of the circle lies between the extrema, so
+spurious candidates, from complex or off-circle roots, need no tolerance.
 Harmonics and extrema work on stacks of patterns; a single pattern is the
 stack of one.
 
@@ -46,15 +52,18 @@ DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
 # Bounds the complex spectrum of one profile at 16 MiB.
 MAX_PHASE_STEPS = 2**20
-# One scan point costs about n^3 once n is large (the companion eigensolve of
-# degree 2(n-1)): 0.06 ms at n = 4, 0.9 ms at 16, 4 ms at 32 and 32 ms at 64
-# on a 2-core x86 host.  64 paths keep an 11-point scan under half a second.
+# One scan point costs about n^3 once n is large (the scan's patterns are
+# real, so this is the colleague eigensolve of degree n - 2 plus the checks'
+# eigvalsh of degree n): 0.024 ms at n = 4, 0.14 ms at 16, 0.52 ms at 32 and
+# 2.5 ms at 64 on a 2-core x86 host.  64 paths keep an 11-point scan at 24 ms.
 MAX_SCAN_PATHS = 64
-# The worst scan, 1024 points at n = 64, takes 40 s on the same host.
+# The worst scan, 1024 points at n = 64, takes 2.5 s on the same host.
 MAX_SCAN_POINTS = 1024
+# Harmonics below this fraction of a row's largest count as zero.
+NEGLIGIBLE_HARMONIC = np.finfo(float).eps ** 2
 # Grid points solved per stacked pass.  Peak memory follows the block, not the
-# grid: at n = 64 a 32-point block peaks at 26 MiB, mostly its (32, 126, 126)
-# companion stack and (32, 127, 127) evaluation matrix.
+# grid: at n = 64 a 32-point block peaks at 8.3 MiB, mostly its (32, 64, 64)
+# complex Gram, effective-state and check stacks; the extrema take 2 MiB.
 SCAN_BLOCK_POINTS = 32
 
 
@@ -141,33 +150,122 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for each row of a (k, 2n-1) stack of harmonics."""
     k, width = harmonics.shape
     n = (width + 1) // 2
-    m = np.arange(1 - n, n)
-    # Harmonics below eps^2 of the largest change I by far less than rounding,
-    # and a subnormal leading coefficient would overflow the companion matrix,
-    # so they count as zero.  The coefficients of z^(n-1) I'(z) go lowest
-    # power first.  Each row is cut to its own nonzero span, since outer
-    # harmonics can vanish (the scan's at g = 0); dividing by a zero leading
-    # coefficient would give inf.  Rows of one degree share one eigensolve.
-    magnitude = np.abs(harmonics)
-    floor = np.finfo(float).eps ** 2 * magnitude.max(axis=1, keepdims=True)
-    coefficients = np.where(magnitude > floor, 1j * m * harmonics, 0.0)
-    nonzero = coefficients != 0.0
-    lowest = nonzero.argmax(axis=1)
-    highest = width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    degree = np.where(nonzero.any(axis=1), highest - lowest, 0)
-    # The m = 0 coefficient is 0, so a row has at most width - 1 roots and the
-    # zero padding keeps delta = 0 among the candidates.
-    delta = np.zeros((k, width))
-    for d in sorted(set(degree.tolist()) - {0}):
-        rows = np.flatnonzero(degree == d)
-        # Highest power first, as in np.roots.
-        top = coefficients[rows[:, None], highest[rows, None] - np.arange(d + 1)]
-        companion = np.zeros((rows.size, d, d), dtype=complex)
-        companion[:, 1:, :-1] = np.eye(d - 1)
-        companion[:, 0, :] = -top[:, 1:] / top[:, :1]
-        delta[rows, :d] = np.angle(np.linalg.eigvals(companion))
-    values = (np.exp(1j * delta[:, :, None] * m) @ harmonics[:, :, None])[..., 0].real
+    # The pattern is the real part of the sum, which only sees the Hermitian
+    # part (c_m + conj c_-m) / 2, so each row is made exactly Hermitian and
+    # kept as c_0..c_(n-1).  Harmonics below eps^2 of the largest change I by
+    # far less than rounding, and a subnormal leading coefficient would
+    # overflow the matrices below, so they count as zero.  Each row is cut to
+    # its own highest harmonic M, since outer harmonics can vanish (the
+    # scan's at g = 0); dividing by a zero leading coefficient would give inf.
+    half = 0.5 * (harmonics[:, n - 1:] + harmonics[:, n - 1::-1].conj())
+    magnitude = np.abs(half)
+    kept = magnitude > NEGLIGIBLE_HARMONIC * magnitude.max(axis=1, keepdims=True)
+    half = np.where(kept, half, 0.0)
+    kept[:, 0] = True
+    degree = n - 1 - kept[:, ::-1].argmax(axis=1)
+    # A row with one nonzero pair c_(+-M) (every two-slit row) turns real when
+    # translated so that c_M = |c_M|; a translation leaves the extrema alone.
+    single = kept.sum(axis=1) == 2
+    if single.any():
+        half[single, 1:] = np.abs(half[single, 1:])
+    real = ~half.imag.any(axis=1)
+    all_real = bool(real.all())
+    # Candidate angles per row; the zero padding keeps delta = 0 among them.
+    # Rows of one path and degree share one eigensolve.
+    delta = np.zeros((k, n if all_real else width))
+    for path, critical in ((real, _chebyshev_critical), (~real, _cayley_critical)):
+        for m in sorted(set(degree[path].tolist()) - {0}):
+            rows = np.flatnonzero(path & (degree == m))
+            angles = critical(half[rows, :m + 1])
+            delta[rows, :angles.shape[1]] = angles
+    # I = c_0 + 2 sum_(m>0) (Re c_m cos(m delta) - Im c_m sin(m delta)).
+    phase = delta[:, :, None] * np.arange(1, n)
+    series = np.cos(phase) @ half[:, 1:, None].real
+    if not all_real:
+        series -= np.sin(phase) @ half[:, 1:, None].imag
+    values = half[:, :1].real + 2.0 * series[..., 0]
     return values.max(axis=1), values.min(axis=1)
+
+
+def _chebyshev_critical(half: np.ndarray) -> np.ndarray:
+    """Candidate extremum angles of real rows c_0..c_M, M >= 1, c_M != 0.
+
+    With x = cos(delta), I = c_0 + 2 sum_m c_m T_m(x), so the extrema sit at
+    x = +-1 and at the real roots in [-1, 1] of p = dI/dx, a Chebyshev series
+    of degree M - 1 whose roots are the eigenvalues of its colleague matrix
+    (I. J. Good, Quart. J. Math. 12, 1961; J. P. Boyd, SIAM Rev. 55, 2013).
+    Nothing is squared, so no root is doubled.  Returns (r, M + 1) angles:
+    delta = 0, pi and the arccos of each root clipped to [-1, 1].
+    """
+    c = half.real
+    r, m = c.shape[0], c.shape[1] - 1
+    # p = sum_j b_j T_j by the derivative recurrence b_(j-1) = b_(j+1) + 2 j a_j
+    # on the Chebyshev coefficients a_j = 2 c_j, with b_0 halved.
+    b = np.zeros((r, m + 2))
+    for j in range(m, 0, -1):
+        b[:, j - 1] = b[:, j + 1] + 4.0 * j * c[:, j]
+    b[:, 0] *= 0.5
+    x = np.ones((r, m + 1))
+    x[:, 1] = -1.0
+    d = m - 1
+    if d:
+        # x T_0 = T_1 and x T_j = (T_(j+1) + T_(j-1)) / 2, with T_d replaced
+        # through p(x) = 0 in the last row.
+        colleague = np.zeros((r, d, d))
+        flat = colleague.reshape(r, d * d)
+        flat[:, 1::d + 1] = flat[:, d::d + 1] = 0.5
+        flat[:, 1:2] = 1.0
+        colleague[:, -1, :] -= (0.5 if d > 1 else 1.0) * b[:, :d] / b[:, d:d + 1]
+        x[:, 2:] = np.clip(np.linalg.eigvals(colleague).real, -1.0, 1.0)
+    return np.arccos(x)
+
+
+def _cayley_critical(half: np.ndarray) -> np.ndarray:
+    """Candidate extremum angles of complex rows c_0..c_M, M >= 1, c_M != 0.
+
+    The critical points are the unit-circle roots of z^M I'(z), a degree-2M
+    polynomial with a_(2M-j) = conj(a_j).  Its companion Z (ones below the
+    diagonal, last column -a_j / a_2M) has the Cayley transform
+    K = i (I - Z)(I + Z)^-1, whose eigenvalues are mu = tan(delta / 2), real
+    on the circle.  K commutes with the antilinear map b -> reverse(conj b),
+    so in the orthonormal basis u_j = (e_j + e_(2M-1-j)) / sqrt 2,
+    v_j = i (e_j - e_(2M-1-j)) / sqrt 2, j < M, it is a real matrix.  Each
+    row is first rotated so that the transform's pole, delta = pi, falls
+    where |I'| is largest.  Returns (r, 2M + 1) angles in the row's own
+    frame: delta = 0 and 2 arctan(Re mu) for each eigenvalue.
+    """
+    r, width = half.shape
+    m = width - 1
+    orders = np.arange(width)
+    slope = 1j * orders * half
+    samples = 4 * m + 2
+    peak = np.abs(np.fft.irfft(slope, samples, norm="forward")).argmax(axis=1)
+    theta = (2.0 * np.pi / samples) * peak - np.pi
+    rotated = slope * np.exp(1j * theta[:, None] * orders)
+    # a_0..a_(2M-1) of z^M I'(z) in the rotated frame over a_2M, lowest
+    # power first, times sign_j = (-1)^j.
+    ratio = np.concatenate([rotated[:, :0:-1].conj(), rotated[:, :-1]], axis=1) \
+        / rotated[:, -1:]
+    ratio[:, 1::2] *= -1.0
+    # With s the running sum of ratio, Sherman-Morrison gives
+    # (I + Z)^-1 = L + g sign^T / (1 + s_(2M-1)) with g_j = -sign_j s_j, where
+    # L = (I + shift)^-1 holds sign_i sign_j on and below the diagonal.  Under
+    # diag(sign), the real part of K in the basis (u, v) is then
+    # [[0, T^T + 2 Re(s - s')], [T, 2 Im(s + s')]]: T is 1 on and 2 below the
+    # diagonal, s'_j = s_(2M-1-j), both sums are over 1 + s_(2M-1), and each
+    # is repeated along its row.
+    s = np.cumsum(ratio, axis=1)
+    s = s / (1.0 + s[:, -1:])
+    s, mirror = s[:, :m], s[:, :m - 1:-1]
+    lower = 2.0 * np.tri(m)
+    lower.flat[::m + 1] = 1.0
+    cayley = np.zeros((r, 2 * m, 2 * m))
+    cayley[:, :m, m:] = lower.T + 2.0 * (s - mirror).real[:, :, None]
+    cayley[:, m:, :m] = lower
+    cayley[:, m:, m:] = 2.0 * (s + mirror).imag[:, :, None]
+    angles = np.zeros((r, 2 * m + 1))
+    angles[:, 1:] = 2.0 * np.arctan(np.linalg.eigvals(cayley).real) + theta[:, None]
+    return angles
 
 
 def _michelson(i_max, i_min):

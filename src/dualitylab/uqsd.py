@@ -205,8 +205,9 @@ class SimulationResult:
     """Empirical outcome frequencies of a seeded measurement run.
 
     ``freq_wrong`` counts outcome 1 on state 2 or outcome 2 on state 1; it
-    is exactly zero for every valid POVM because those Born probabilities
-    are clamped structural zeros, not small numbers.
+    is exactly zero, because ``simulate`` refuses a POVM whose Born
+    probabilities for those outcomes exceed STRUCTURAL_ZERO and clamps the
+    rest to exact zeros.
     """
 
     trials: int
@@ -234,6 +235,13 @@ def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
             f"negative Born probability {probs.min()!r}; POVM is invalid",
             check="born_probability", residual=float(probs.min()),
             tolerance=-POVM_PSD_TOL)
+    # A POVM built for other states can name the wrong one.
+    leak = max(probs[0, 1], probs[1, 0])
+    if leak > STRUCTURAL_ZERO:
+        raise ValidationError(
+            f"POVM identifies the wrong state with probability {leak!r}; it was "
+            "not built for this problem", check="born_unambiguity",
+            residual=float(leak), tolerance=STRUCTURAL_ZERO)
     probs[probs < STRUCTURAL_ZERO] = 0.0
     rows = probs.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > COMPLETENESS_TOL:
@@ -246,7 +254,12 @@ def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
 def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
              seed: int) -> SimulationResult:
     """Draw the d1 count by the prior, then each state's outcome counts by its
-    Born probabilities: O(1) in ``trials``, deterministic given (seed, trials)."""
+    Born probabilities: O(1) in ``trials``, deterministic given (seed, trials).
+
+    Raises ValidationError (check ``born_unambiguity``) when ``povm`` can
+    identify the wrong state of ``problem``, as a POVM built for another
+    problem does.
+    """
     if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
             or not 0 < trials <= MAX_TRIALS):
         raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")

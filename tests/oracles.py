@@ -1,9 +1,10 @@
 """Independent closed-form oracles used to freeze expected test values.
 
-These deliberately avoid the library's sampled-pattern code path: a cosine
-series is converted to a power polynomial in c = cos(delta) via Chebyshev
-algebra (cos(k delta) = T_k(c)) and optimized exactly on [-1, 1] through the
-roots of its derivative.
+These deliberately avoid the library's code paths: a cosine series is
+converted to a power polynomial in c = cos(delta) via Chebyshev algebra
+(cos(k delta) = T_k(c)) and optimized exactly on [-1, 1] through the roots of
+its derivative, and any pattern, complex or not, is optimized through the
+complex companion matrix of its derivative.
 """
 
 from __future__ import annotations
@@ -22,6 +23,28 @@ def cosine_series_extrema(coefficients) -> tuple[float, float]:
             if abs(root.imag) < 1e-12 and -1.0 <= root.real <= 1.0:
                 candidates.append(float(root.real))
     values = polynomial.polyval(np.asarray(candidates), poly)
+    return float(values.max()), float(values.min())
+
+
+def companion_extrema(effective) -> tuple[float, float]:
+    """Exact (max, min) over one period of I(delta) = sum_jk R_jk e^{i(j-k)delta}.
+
+    The critical points are the unit-circle roots of z^(n-1) I'(z), found as
+    the eigenvalues of its complex companion matrix (np.roots; J. P. Boyd,
+    J. Eng. Math. 56, 2006), and I is evaluated at their angles and at 0.
+    Harmonics below eps^2 of the largest count as zero, so that a subnormal
+    leading coefficient cannot overflow the companion matrix.
+    """
+    effective = np.asarray(effective, dtype=complex)
+    n = effective.shape[0]
+    m = np.arange(1 - n, n)
+    harmonics = np.array([np.trace(effective, -k) for k in m])
+    magnitude = np.abs(harmonics)
+    kept = magnitude > np.finfo(float).eps ** 2 * magnitude.max()
+    # Highest power first; np.roots drops the zero leading coefficients.
+    roots = np.roots(np.where(kept, 1j * m * harmonics, 0.0)[::-1])
+    delta = np.append(np.angle(roots), 0.0)
+    values = (np.exp(1j * np.outer(delta, m)) @ harmonics).real
     return float(values.max()), float(values.min())
 
 

@@ -21,11 +21,13 @@ from dualitylab import (
     pair_visibility,
     two_slit_pattern,
 )
+from dualitylab import fringes
 from dualitylab.fringes import MAX_SCAN_PATHS, MAX_SCAN_POINTS, SCAN_BLOCK_POINTS, \
-    flipped_symmetric_amplitudes, selective_decoherence_gram
+    _extrema, _harmonics, flipped_symmetric_amplitudes, selective_decoherence_gram
 from dualitylab.sampling import random_mixed_state, random_pure_state
 
-from oracles import cosine_series_extrema, flip_scan_visibility, michelson
+from oracles import companion_extrema, cosine_series_extrema, flip_scan_visibility, \
+    michelson
 
 ISQ2 = 1.0 / np.sqrt(2.0)
 ISQ3 = 1.0 / np.sqrt(3.0)
@@ -120,6 +122,11 @@ def real_state(n, rng):
     return build_mixed_state(rho / np.trace(rho), detectors @ detectors.T)
 
 
+def ramped_phases(n, ramp):
+    """exp(i ramp j^2): a nonlinear phase ramp, which no translation undoes."""
+    return np.exp(1j * ramp * np.arange(n) ** 2)
+
+
 class TestHarmonicSampling:
     def test_samples_equal_direct_sum(self):
         rng = np.random.default_rng(401)
@@ -167,29 +174,69 @@ class TestExactExtrema:
             assert abs(profile.i_min - min(b, 1.0 - 1.0 / (8.0 * b) - b)) <= 1e-12
             assert abs(profile.i_max - (2.0 + b)) <= 1e-12
 
-    def test_dark_outer_paths_lower_the_degree(self):
-        # Slits 0 and 4 carry nothing: the pattern is the three-slit
-        # 1 - (4/3)cos(delta) + (2/3)cos(2 delta).
-        state = build_pure_state([0.0, ISQ3, -ISQ3, ISQ3, 0.0], [(1, 0)] * 5)
+    @pytest.mark.parametrize("ramp", [0.0, 0.3])
+    def test_dark_outer_paths_lower_the_degree(self, ramp):
+        # Slits 0 and 4 carry nothing, so the pattern has degree 2: at ramp 0
+        # the three-slit 1 - (4/3)cos(delta) + (2/3)cos(2 delta).  The phase
+        # ramp exp(i ramp j^2) keeps the harmonics complex.
+        amplitudes = np.array([0.0, ISQ3, -ISQ3, ISQ3, 0.0]) * ramped_phases(5, ramp)
+        state = build_pure_state(amplitudes, [(1, 0)] * 5)
         profile = intensity_profile(state)
-        i_max, i_min = cosine_series_extrema([1.0, -4.0 / 3.0, 2.0 / 3.0])
+        i_max, i_min = companion_extrema(state.rho * state.gram)
+        if ramp == 0.0:
+            assert (i_max, i_min) == pytest.approx(
+                cosine_series_extrema([1.0, -4.0 / 3.0, 2.0 / 3.0]), abs=1e-12)
         assert abs(profile.i_max - i_max) <= 1e-12
         assert abs(profile.i_min - i_min) <= 1e-12
         assert abs(profile.visibility - michelson(i_max, i_min)) <= 1e-12
 
-    def test_flat_pattern(self):
-        profile = intensity_profile(build_mixed_state(np.eye(5) / 5, np.ones((5, 5))))
+    @pytest.mark.parametrize("ramp", [0.0, 0.3])
+    def test_flat_pattern(self, ramp):
+        # A flat pattern has no harmonics; the ramp makes its Gram matrix complex.
+        phases = ramped_phases(5, ramp)
+        state = build_mixed_state(np.eye(5) / 5, np.outer(phases, phases.conj()))
+        profile = intensity_profile(state)
         assert profile.i_max == profile.i_min == 1.0
         assert profile.visibility == 0.0
 
-    def test_subnormal_harmonic(self):
+    @pytest.mark.parametrize("ramp", [0.0, 0.3])
+    def test_subnormal_harmonic(self, ramp):
+        phases = ramped_phases(5, ramp)
+        ramp_matrix = np.outer(phases, phases.conj())
         rho = np.eye(5, dtype=complex) / 5
         rho[0, 4] = rho[4, 0] = 1e-320
-        state = build_mixed_state(rho, np.ones((5, 5)))
+        state = build_mixed_state(rho * ramp_matrix, np.ones((5, 5)))
         assert intensity_profile(state).visibility == 0.0
         rho[1, 2] = rho[2, 1] = 0.1
-        state = build_mixed_state(rho, np.ones((5, 5)))
+        state = build_mixed_state(rho * ramp_matrix, np.ones((5, 5)))
         assert abs(intensity_profile(state).visibility - 0.2) <= 1e-12
+        # A second pair keeps the ramped pattern from being a translate of a
+        # real one.
+        rho[1, 3] = rho[3, 1] = 0.05
+        state = build_mixed_state(rho * ramp_matrix, np.ones((5, 5)))
+        profile = intensity_profile(state)
+        i_max, i_min = companion_extrema(state.rho * state.gram)
+        assert abs(profile.i_max - i_max) <= 1e-12
+        assert abs(profile.i_min - i_min) <= 1e-12
+
+    def test_stack_mixing_real_and_complex_rows(self):
+        # Real, complex, one-pair, translated-real and flat rows of one n in
+        # one call give what each row gives alone.
+        rng = np.random.default_rng(439)
+        n = 6
+        effectives = [state.rho * state.gram for state in (
+            real_state(n, rng), random_mixed_state(n, rng), random_pure_state(n, rng))]
+        effectives.append(effectives[0] * np.outer(ramped_phases(n, 0.3),
+                                                   ramped_phases(n, 0.3).conj()))
+        shift = np.exp(0.7j * np.arange(n))
+        effectives.append(effectives[0] * np.outer(shift, shift.conj()))
+        pair = np.eye(n, dtype=complex) / n
+        pair[1, 4], pair[4, 1] = 0.05j, -0.05j
+        effectives += [pair, np.eye(n) / n]
+        stack = _harmonics(np.array(effectives))
+        i_max, i_min = _extrema(stack)
+        for row, harmonics in enumerate(stack):
+            assert _extrema(harmonics[None]) == (i_max[row], i_min[row]), row
 
     def test_real_patterns_against_oracle(self):
         rng = np.random.default_rng(419)
@@ -212,6 +259,47 @@ class TestExactExtrema:
             profiles = [intensity_profile(state, SlitGeometry(n=n, phase_step_count=count))
                         for count in (64, 2048, 32768)]
             assert len({(p.i_max, p.i_min, p.visibility) for p in profiles}) == 1
+
+
+class TestCompanionOracle:
+    SIZES = [*range(2, 33), 64, 64, 64]
+
+    def states(self, kind, rng):
+        """Seeded states of one kind at every n of SIZES."""
+        for n in self.SIZES:
+            if kind == "mixed":
+                yield random_mixed_state(n, rng)
+            elif kind == "pure":
+                yield random_pure_state(n, rng)
+            else:
+                state = real_state(n, rng)
+                if kind == "translated":
+                    shift = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi) * np.arange(n))
+                    state = build_mixed_state(state.rho * np.outer(shift, shift.conj()),
+                                              state.gram)
+                yield state
+
+    @pytest.mark.parametrize("kind, seed", [("mixed", 443), ("pure", 444), ("real", 445),
+                                            ("translated", 446)])
+    def test_extrema_match_oracle_and_bound_the_samples(self, kind, seed, monkeypatch):
+        # Real rows take the Chebyshev path, and so do one-pair rows such as
+        # every two-slit one; the other rows take the Cayley path.
+        cayley_rows = []
+
+        def counted(half, _original=fringes._cayley_critical):
+            cayley_rows.append(half.shape[0])
+            return _original(half)
+
+        monkeypatch.setattr(fringes, "_cayley_critical", counted)
+        for state in self.states(kind, np.random.default_rng(seed)):
+            profile = intensity_profile(state)
+            i_max, i_min = companion_extrema(state.rho * state.gram)
+            assert abs(profile.i_max - i_max) <= 1e-12, state.n
+            assert abs(profile.i_min - i_min) <= 1e-12, state.n
+            # A missed critical point would let a sample pass an extremum.
+            assert profile.intensity.max() - profile.i_max <= 1e-12, state.n
+            assert profile.i_min - profile.intensity.min() <= 1e-12, state.n
+        assert len(cayley_rows) == (0 if kind == "real" else sum(n > 2 for n in self.SIZES))
 
 
 class TestExtractVisibility:

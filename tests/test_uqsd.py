@@ -201,6 +201,13 @@ class TestSimulate:
                               seed=int(rng.integers(0, 2**32)))
             assert result.freq_wrong == 0.0
 
+    def test_povm_of_another_problem_rejected(self):
+        other = build_povm(UqsdProblem(d1=E1, d2=E2, p1=0.5, p2=0.5))
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        with pytest.raises(ValidationError) as info:
+            simulate(problem, other, 100_000, 1)
+        assert info.value.check == "born_unambiguity"
+
     def test_zero_trials_rejected(self):
         problem = UqsdProblem(d1=E1, d2=E2, p1=0.5, p2=0.5)
         povm = build_povm(problem)
