@@ -1,7 +1,7 @@
 """Config-driven command-line front end.
 
-One subcommand per scenario mode (report, pairs, fringes, meiweitz, uqsd),
-each consuming a JSON scenario file and writing a single machine-readable
+The scenario mode (report, pairs, fringes, meiweitz, uqsd) is a positional
+argument; each consumes a JSON scenario file and writes one machine-readable
 artifact (JSON report or CSV table).  Complex numbers appear in configs as
 [re, im] pairs; plain numbers are accepted as purely real.  CSV output uses
 17 significant digits so every value round-trips to the exact double.
@@ -68,23 +68,6 @@ MAX_STATE_PATHS = 256
 
 
 @dataclass(frozen=True, eq=False)
-class MeiWeitzParams:
-    n: int
-    flipped_path: int
-    decohered_paths: tuple[int, ...]
-    gamma_grid: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class UqsdParams:
-    d1: np.ndarray
-    d2: np.ndarray
-    p1: float
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Validated scenario description; ``raw`` keeps the parsed JSON for the
     input echo in reports."""
@@ -96,8 +79,8 @@ class ScenarioConfig:
     rho: np.ndarray | None = None
     gram: np.ndarray | None = None
     phase_step_count: int = DEFAULT_PHASE_STEPS
-    meiweitz: MeiWeitzParams | None = None
-    uqsd: UqsdParams | None = None
+    meiweitz: dict | None = None  # mei_weitz_scan's keyword arguments
+    uqsd: dict | None = None  # the section, with d1, d2 and p1 parsed
     output_path: str = ""
 
 
@@ -214,6 +197,13 @@ def _parse_geometry(node, errors: list[str]) -> dict:
         MIN_PHASE_STEPS, MAX_PHASE_STEPS)}
 
 
+def _index_value(node, path: str, errors: list[str], n: int | None) -> int | None:
+    idx = _int_value(node, path, errors)
+    if idx is not None and n is not None and not 0 <= idx < n:
+        errors.append(f"{path}: index {idx} out of range for n={n}")
+    return idx
+
+
 def _parse_meiweitz(node, errors: list[str]) -> dict:
     node = _object(node, "meiweitz",
                    {"n", "flipped_path", "decohered_paths", "gamma_grid"}, errors)
@@ -221,40 +211,28 @@ def _parse_meiweitz(node, errors: list[str]) -> dict:
         return {}
     preexisting = len(errors)
     n = _int_value(node["n"], "meiweitz.n", errors, 3, MAX_SCAN_PATHS)
-    flipped = _int_value(node["flipped_path"], "meiweitz.flipped_path", errors)
-    if n is not None and flipped is not None and not 0 <= flipped < n:
-        errors.append(f"meiweitz.flipped_path: index {flipped} out of range "
-                      f"for n={n}")
-    decohered: list[int] = []
-    raw_paths = node["decohered_paths"]
-    if not isinstance(raw_paths, list) or not raw_paths:
+    _index_value(node["flipped_path"], "meiweitz.flipped_path", errors, n)
+    paths = node["decohered_paths"]
+    if not isinstance(paths, list) or not paths:
         errors.append("meiweitz.decohered_paths: expected a non-empty list")
     else:
-        for k, entry in enumerate(raw_paths):
-            idx = _int_value(entry, f"meiweitz.decohered_paths[{k}]", errors)
-            if idx is None:
-                continue
-            if n is not None and not 0 <= idx < n:
-                errors.append(f"meiweitz.decohered_paths[{k}]: index {idx} out "
-                              f"of range for n={n}")
-            decohered.append(idx)
-        if len(set(decohered)) != len(decohered):
+        indices = [_index_value(entry, f"meiweitz.decohered_paths[{k}]", errors, n)
+                   for k, entry in enumerate(paths)]
+        indices = [idx for idx in indices if idx is not None]
+        if len(set(indices)) != len(indices):
             errors.append("meiweitz.decohered_paths: duplicate indices")
-    grid: list[float] = []
-    raw_grid = node["gamma_grid"]
-    if not isinstance(raw_grid, list) or not raw_grid:
+    grid = node["gamma_grid"]
+    if not isinstance(grid, list) or not grid:
         errors.append("meiweitz.gamma_grid: expected a non-empty list")
-    elif len(raw_grid) > MAX_SCAN_POINTS:
+    elif len(grid) > MAX_SCAN_POINTS:
         errors.append(f"meiweitz.gamma_grid: at most {MAX_SCAN_POINTS} points, "
-                      f"got {len(raw_grid)}")
+                      f"got {len(grid)}")
     else:
-        grid = [_real_value(entry, f"meiweitz.gamma_grid[{k}]", errors, 0, 1)
-                for k, entry in enumerate(raw_grid)]
-    if len(errors) > preexisting:
-        return {}
-    return {"meiweitz": MeiWeitzParams(n=n, flipped_path=flipped,
-                                       decohered_paths=tuple(decohered),
-                                       gamma_grid=tuple(grid))}
+        for k, entry in enumerate(grid):
+            _real_value(entry, f"meiweitz.gamma_grid[{k}]", errors, 0, 1)
+    # The keys are exactly mei_weitz_scan's parameters: the checked section is
+    # its keyword arguments.
+    return {} if len(errors) > preexisting else {"meiweitz": node}
 
 
 def _parse_uqsd(node, errors: list[str]) -> dict:
@@ -267,11 +245,10 @@ def _parse_uqsd(node, errors: list[str]) -> dict:
     if d1 is not None and d2 is not None and d1.size != d2.size:
         errors.append(f"uqsd: d1 has length {d1.size} but d2 has length {d2.size}")
     p1 = _real_value(node["p1"], "uqsd.p1", errors, 0, 1)
-    trials = _int_value(node["trials"], "uqsd.trials", errors, 1, MAX_TRIALS)
-    seed = _int_value(node["seed"], "uqsd.seed", errors, 0, 2**64 - 1)
-    if len(errors) > preexisting:
-        return {}
-    return {"uqsd": UqsdParams(d1=d1, d2=d2, p1=p1, trials=trials, seed=seed)}
+    _int_value(node["trials"], "uqsd.trials", errors, 1, MAX_TRIALS)
+    _int_value(node["seed"], "uqsd.seed", errors, 0, 2**64 - 1)
+    return {} if len(errors) > preexisting else {
+        "uqsd": {**node, "d1": d1, "d2": d2, "p1": p1}}
 
 
 _SECTIONS = {"state": _parse_state, "geometry": _parse_geometry,
@@ -348,11 +325,16 @@ class ReportDocument:
     def to_json(self) -> str:
         # The frozen fields are plain JSON values already, so they need no
         # deep copy before dumping.
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
+        return _json(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
         return cls(**json.loads(text))
+
+
+def _json(document: dict) -> str:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 # 17 significant digits, so every double round-trips; path labels print as
@@ -427,26 +409,23 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(line % row for row in rows)]) + "\n"
 
 
-def _uqsd_problem(params: UqsdParams):
+def _uqsd_problem(section: dict):
     """The configured two-state problem and its analytic optimum."""
-    problem = UqsdProblem(d1=params.d1, d2=params.d2,
-                          p1=params.p1, p2=1.0 - params.p1)
+    problem = UqsdProblem(section["d1"], section["d2"], section["p1"], 1.0 - section["p1"])
     return problem, success_probability(problem.p1, problem.p2, abs(problem.overlap))
 
 
 def build_uqsd_document(config: ScenarioConfig) -> dict:
-    params = config.uqsd
-    problem, analytic = _uqsd_problem(params)
-    overlap = abs(problem.overlap)
+    problem, analytic = _uqsd_problem(config.uqsd)
     povm = build_povm(problem)
-    result = simulate(problem, povm, params.trials, params.seed)
+    result = simulate(problem, povm, config.uqsd["trials"], config.uqsd["seed"])
     return {
         "problem": {
             "d1": [[z.real, z.imag] for z in problem.d1],
             "d2": [[z.real, z.imag] for z in problem.d2],
             "p1": problem.p1,
             "p2": problem.p2,
-            "overlap_magnitude": overlap,
+            "overlap_magnitude": abs(problem.overlap),
         },
         "analytic": {
             "success_probability": analytic.value,
@@ -536,16 +515,14 @@ def run(config: ScenarioConfig, output_override: str | None = None,
                     zip(profile.delta.tolist(), profile.intensity.tolist()))
         summary = f"visibility={_fmt(profile.visibility)}"
     elif config.mode == "meiweitz":
-        params = config.meiweitz
-        scan = mei_weitz_scan(params.n, params.flipped_path,
-                              params.decohered_paths, params.gamma_grid)
+        scan = mei_weitz_scan(**config.meiweitz)
         text = _csv("g,visibility,coherence,distinguishability",
                     zip(scan.gamma_grid.tolist(), scan.visibilities.tolist(),
                         scan.coherences.tolist(), scan.distinguishabilities.tolist()))
         summary = f"{scan.gamma_grid.size} grid points"
     else:
         document = build_uqsd_document(config)
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = _json(document)
         summary = (f"analytic={_fmt(document['analytic']['success_probability'])} "
                    f"empirical={_fmt(document['simulation']['success_frequency'])}")
     _write_atomic(out_path, text)
@@ -553,23 +530,21 @@ def run(config: ScenarioConfig, output_override: str | None = None,
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dualitylab",
-        description="Wave-particle duality laboratory for n-path interference")
-    subparsers = parser.add_subparsers(dest="mode", required=True)
-    for mode, spec in _MODE_TABLE.items():
-        sub = subparsers.add_parser(mode, help=spec.help)
-        sub.add_argument("--config", required=True, help="scenario JSON file")
-        sub.add_argument("--output", default=None,
-                         help="override output.path from the config")
-        sub.add_argument("--validate-only", action="store_true",
-                         help="parse and validate, write nothing")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="dualitylab",
+    description="Wave-particle duality laboratory for n-path interference",
+    epilog="modes:\n" + "".join(f"  {mode:<10}{spec.help}\n"
+                                for mode, spec in _MODE_TABLE.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter)
+_PARSER.add_argument("mode", choices=MODES, help="scenario mode, one of the modes below")
+_PARSER.add_argument("--config", required=True, help="scenario JSON file")
+_PARSER.add_argument("--output", default=None, help="override output.path from the config")
+_PARSER.add_argument("--validate-only", action="store_true",
+                     help="parse and validate, write nothing")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

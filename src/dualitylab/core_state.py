@@ -97,6 +97,11 @@ def _as_unit_vectors(values, names, check: str, tolerance: float) -> list[np.nda
     return vecs
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools are not counts or indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _store_read_only(instance, dtype, *names: str) -> None:
     """Replace each named array field of a frozen dataclass by a read-only
     ``dtype`` copy, so the instance neither aliases nor alters its inputs."""

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _raise_first_failure, _run_checks, \
-    _store_read_only, effective_density
+from .core_state import InterferometerState, _is_integer, _raise_first_failure, \
+    _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -75,12 +75,13 @@ class SlitGeometry:
     phase_step_count: int = DEFAULT_PHASE_STEPS
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionError(f"need at least 2 slits, got {self.n}",
-                                 check="slit_count")
-        if not MIN_PHASE_STEPS <= self.phase_step_count <= MAX_PHASE_STEPS:
+        if not _is_integer(self.n) or self.n < 2:
+            raise DimensionError(f"need an integer count of at least 2 slits, "
+                                 f"got {self.n!r}", check="slit_count")
+        steps = self.phase_step_count
+        if not _is_integer(steps) or not MIN_PHASE_STEPS <= steps <= MAX_PHASE_STEPS:
             raise ValidationError(
-                f"phase_step_count {self.phase_step_count} outside "
+                f"phase_step_count {steps!r} is not an integer in "
                 f"[{MIN_PHASE_STEPS}, {MAX_PHASE_STEPS}]", check="phase_step_count")
 
 
@@ -356,14 +357,20 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     The grid is evaluated in stacked blocks of SCAN_BLOCK_POINTS: rho is
     checked once per block, and the Gram matrices, effective states and
     extrema of a block are each solved in one pass.  A grid may hold at most
-    MAX_SCAN_POINTS values.
+    MAX_SCAN_POINTS values.  ``n``, ``flipped_path`` and every decohered path
+    must be an integer (numpy integers included), or TypeError is raised.
     """
+    paths = list(decohered_paths)
+    for name, value in [("n", n), ("flipped_path", flipped_path),
+                        *(("decohered_paths entry", p) for p in paths)]:
+        if not _is_integer(value):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if not 3 <= n <= MAX_SCAN_PATHS:
         raise DimensionError(f"scan needs 3 to {MAX_SCAN_PATHS} paths, got {n}",
                              check="path_count")
     if not (0 <= flipped_path < n):
         raise IndexError(f"flipped_path {flipped_path} out of range for {n} paths")
-    decohered = tuple(sorted(set(int(p) for p in decohered_paths)))
+    decohered = tuple(sorted(set(int(p) for p in paths)))
     if not decohered:
         raise ValueError("decohered_paths must be a non-empty subset")
     if any(p < 0 or p >= n for p in decohered):

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import InterferometerState
+from .core_state import InterferometerState, _is_integer
 from .errors import DarkPairError, ValidationError
 
 # Below this total pair probability the 2x2 renormalization is numerically
@@ -94,6 +94,8 @@ def _pair_values(p_i, p_j, rho_ij, gram_ij, weight):
 def _pair_parts(state: InterferometerState, i: int, j: int):
     """Shared index validation plus the raw entries a pair metric needs."""
     n = state.n
+    if not (_is_integer(i) and _is_integer(j)):
+        raise IndexError(f"pair ({i!r}, {j!r}) needs integer path indices")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"pair ({i}, {j}) out of range for {n} paths")
     if i == j:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_unit_vectors, _store_read_only
+from .core_state import _as_unit_vectors, _is_integer, _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 PRIOR_SUM_TOL = 1e-12
@@ -260,8 +260,7 @@ def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
     identify the wrong state of ``problem``, as a POVM built for another
     problem does.
     """
-    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
-            or not 0 < trials <= MAX_TRIALS):
+    if not _is_integer(trials) or not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
     probs = _born_probabilities(problem, povm)
 

@@ -1,15 +1,22 @@
 """CLI parsing, artifact writing, exit codes and determinism."""
 
+import argparse
 import copy
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualitylab
 from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
     validate
+from dualitylab import cli
 from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, build_report_document, main, \
     parse_config
 from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS
@@ -525,6 +532,33 @@ class TestFlags:
                      "--output", str(override)]) == 0
         assert override.exists()
         assert not (tmp_path / "report.json").exists()
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        # The one parser is built at import; a call only parses with it.
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        config_path = write_config(tmp_path, "c.json", report_config(tmp_path))
+        for flags in ([], ["--validate-only"], ["--output", str(tmp_path / "o.json")]):
+            assert main(["report", "--config", config_path, *flags]) == 0
+        assert built == []
+
+    def test_help_lists_every_mode(self):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(dualitylab.__file__).resolve().parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "dualitylab", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        for mode, spec in cli._MODE_TABLE.items():
+            assert re.search(rf"^ +{mode} +{re.escape(spec.help)}$", proc.stdout,
+                             re.MULTILINE), mode
 
 
 class TestDeterminism:

@@ -41,6 +41,10 @@ class TestSlitGeometry:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             SlitGeometry(n=2, phase_step_count=32)
+        # A count must be an integer, not a float in range.
+        with pytest.raises(ValidationError) as info:
+            SlitGeometry(n=2, phase_step_count=100.5)
+        assert info.value.check == "phase_step_count"
 
     def test_too_many_samples(self):
         SlitGeometry(n=2, phase_step_count=2**20)
@@ -51,6 +55,10 @@ class TestSlitGeometry:
     def test_too_few_slits(self):
         with pytest.raises(DimensionError):
             SlitGeometry(n=1)
+        for n in (2.5, 3.0):
+            with pytest.raises(DimensionError) as info:
+                SlitGeometry(n=n)
+            assert info.value.check == "slit_count"
 
     def test_mismatch_with_state(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
@@ -446,6 +454,14 @@ class TestMeiWeitzScan:
         # The scan takes no geometry: it samples no pattern.
         with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))
+        # Counts and path indices are integers; the error names the argument.
+        for args, name in [((4, 3, [1.5], [0.5]), "decohered_paths"),
+                           ((4, 3, ["3"], [0.5]), "decohered_paths"),
+                           ((4, True, [1], [0.5]), "flipped_path"),
+                           ((4, 2.0, [1], [0.5]), "flipped_path"),
+                           ((4.5, 0, [1], [0.5]), "n")]:
+            with pytest.raises(TypeError, match=rf"^{name}\b"):
+                mei_weitz_scan(*args)
 
     def test_path_count_cap(self):
         assert mei_weitz_scan(MAX_SCAN_PATHS, 0, [1], [0.5]).visibilities.size == 1

@@ -196,6 +196,10 @@ class TestErrors:
         state = build_mixed_state(np.eye(2) / 2, np.eye(2))
         with pytest.raises(IndexError):
             pair_visibility(state, 0, 2)
+        # A bool or a float is not a path index; the message names the pair.
+        for i, j in [(True, 0), (1.0, 0), (0, 1.0)]:
+            with pytest.raises(IndexError, match=rf"pair \({i!r}, {j!r}\)"):
+                pair_metrics(state, i, j)
 
 
 class TestRandomEnsembleProperties:

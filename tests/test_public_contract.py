@@ -1,7 +1,5 @@
 """The public names: the package's ``__all__`` and the CLI's mode list."""
 
-import argparse
-
 import dualitylab
 from dualitylab import cli
 
@@ -29,8 +27,8 @@ def test_all_is_the_pinned_list_and_every_name_resolves():
 
 
 def test_cli_modes_formats_and_subcommands_agree():
-    (subcommands,) = [action.choices for action in cli._build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction)]
+    (subcommands,) = [action.choices for action in cli._PARSER._actions
+                      if action.dest == "mode"]
     assert cli.MODES == CLI_MODES
     assert tuple(cli.FORMAT_BY_MODE) == CLI_MODES
     assert tuple(subcommands) == CLI_MODES
