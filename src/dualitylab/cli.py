@@ -61,8 +61,8 @@ _MODE_TABLE = {
 MODES = tuple(_MODE_TABLE)
 FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
 # Paths in a `state` section.  The slowest state mode, `fringes` on a mixed
-# state at MAX_PHASE_STEPS, takes about 3-4 s and peaks at about 285 MiB at
-# this cap (a 6 MiB config) on a 2-core x86 host; `report` takes 2-3 s and
+# state at MAX_PHASE_STEPS, takes about 2.5-3.5 s and peaks at about 275 MiB
+# at this cap (a 6 MiB config) on a 2-core x86 host; `report` takes 2-3 s and
 # 190 MiB, mostly JSON handling of the config and its echo.
 MAX_STATE_PATHS = 256
 
@@ -554,8 +554,8 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(text)
         if config.mode != args.mode:
             raise ConfigError(
-                [f"config declares mode '{config.mode}' but the "
-                 f"'{args.mode}' subcommand was invoked"])
+                [f"config declares mode '{config.mode}' but mode "
+                 f"'{args.mode}' was given on the command line"])
         return run(config, output_override=args.output,
                    validate_only=args.validate_only)
     except ConfigError as exc:

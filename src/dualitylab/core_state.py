@@ -123,15 +123,24 @@ def _trace_defect(mat: np.ndarray) -> np.ndarray:
     return abs(mat.trace(axis1=-2, axis2=-1).real - 1.0)
 
 
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each stacked matrix, so
-    eigvalsh sees an exactly Hermitian operand.  Halving before the sum keeps
-    entries near the float limit finite.  A matrix with a non-finite entry
-    has NaN eigenvalues, which fail every spectral check; eigvalsh would
-    return finite values for it, so it decomposes zeros in its place."""
-    finite = np.isfinite(mat).all(axis=(-2, -1))
-    half = 0.5 * np.where(finite[..., None, None], mat, 0.0)
-    return np.where(finite[..., None], np.linalg.eigvalsh(half + _adjoint(half)), np.nan)
+def _spectra(*mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each of ``mats``, which
+    share one shape, stacked along a new first axis and found in one eigvalsh
+    call on an exactly Hermitian operand.  Each Hermitian part is written
+    straight into the stack through one buffer the size of a matrix.
+    Halving before the sum keeps entries near the float limit finite.  A
+    matrix with a non-finite entry has a non-finite Hermitian part and NaN
+    eigenvalues, which fail every spectral check; eigvalsh would return
+    finite values for it, so it decomposes zeros in its place."""
+    hermitian = np.empty((len(mats),) + mats[0].shape, dtype=complex)
+    half = np.empty_like(hermitian[0])
+    for out, mat in zip(hermitian, mats):
+        np.multiply(mat, 0.5, out=half)
+        np.conjugate(half.swapaxes(-1, -2), out=out)
+        out += half
+    finite = np.isfinite(hermitian).all(axis=(-2, -1))
+    hermitian[~finite] = 0.0
+    return np.where(finite[..., None], np.linalg.eigvalsh(hermitian), np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +207,10 @@ def _run_checks(rho: np.ndarray,
     """Residuals of every structural invariant, over stacks of states.
 
     ``rho`` and ``gram`` are (n, n) or (k, n, n) and broadcast against each
-    other, so a rho shared by a whole stack is decomposed once.  Returns the
-    (..., len(_CHECKS)) residuals, one column per check, and the rho and
+    other.  Matrices of one shape share one eigvalsh call: a single state
+    makes one call, and a rho shared by a whole stack is decomposed once, on
+    its own, with the Gram and effective stacks in a second call.  Returns
+    the (..., len(_CHECKS)) residuals, one column per check, and the rho and
     gram spectra.
     """
     if rho.shape[-2:] != gram.shape[-2:]:
@@ -207,18 +218,21 @@ def _run_checks(rho: np.ndarray,
             f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
             check="shared_dimension")
 
-    rho_eigs = _spectrum(rho)
-    gram_eigs = _spectrum(gram)
     # Entries near the float limit may overflow a defect or the effective
     # state to inf or NaN; either fails its check, as it should.
     with np.errstate(over="ignore", invalid="ignore"):
         effective = rho * gram
+        if rho.shape == gram.shape:
+            rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
+        else:
+            (rho_eigs,) = _spectra(rho)
+            gram_eigs, effective_eigs = _spectra(*np.broadcast_arrays(gram, effective))
         columns = (
             _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
             _hermiticity_defect(gram),
             abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1),
             gram_eigs[..., 0],
-            _trace_defect(effective), _spectrum(effective)[..., 0],
+            _trace_defect(effective), effective_eigs[..., 0],
         )
     residuals = np.empty(effective.shape[:-2] + (len(_CHECKS),))
     for column, values in enumerate(columns):

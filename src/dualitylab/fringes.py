@@ -50,7 +50,7 @@ from .pairwise import open_pair
 
 DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
-# Bounds the complex spectrum of one profile at 16 MiB.
+# Bounds the half-length complex spectrum of one profile at 8 MiB.
 MAX_PHASE_STEPS = 2**20
 # One scan point costs about n^3 once n is large (the scan's patterns are
 # real, so this is the colleague eigensolve of degree n - 2 plus the checks'
@@ -62,8 +62,9 @@ MAX_SCAN_POINTS = 1024
 # Harmonics below this fraction of a row's largest count as zero.
 NEGLIGIBLE_HARMONIC = np.finfo(float).eps ** 2
 # Grid points solved per stacked pass.  Peak memory follows the block, not the
-# grid: at n = 64 a 32-point block peaks at 8.3 MiB, mostly its (32, 64, 64)
-# complex Gram, effective-state and check stacks; the extrema take 2 MiB.
+# grid: at n = 64 a 32-point block peaks at 10.3 MiB, mostly its (32, 64, 64)
+# complex Gram and effective-state stacks and the Hermitian stack of both that
+# the checks decompose; the extrema take 2 MiB.
 SCAN_BLOCK_POINTS = 32
 
 
@@ -140,10 +141,13 @@ def _harmonics(stack: np.ndarray) -> np.ndarray:
 def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
     """I at delta = 2 pi a / count, with aliased harmonics folded in."""
     n = (harmonics.size + 1) // 2
-    spectrum = np.zeros(count, dtype=complex)
-    np.add.at(spectrum, np.arange(1 - n, n) % count, harmonics)
-    # The folded spectrum is Hermitian, so its real inverse is the pattern.
-    return np.fft.irfft(spectrum[:count // 2 + 1], count, norm="forward")
+    # The folded spectrum is Hermitian, so its real inverse is the pattern,
+    # and only the bins irfft reads, 0..count // 2, are filled.
+    bins = np.arange(1 - n, n) % count
+    read = bins <= count // 2
+    spectrum = np.zeros(count // 2 + 1, dtype=complex)
+    np.add.at(spectrum, bins[read], harmonics[read])
+    return np.fft.irfft(spectrum, count, norm="forward")
 
 
 def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +155,14 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for each row of a (k, 2n-1) stack of harmonics."""
     k, width = harmonics.shape
     n = (width + 1) // 2
+    if n == 2:
+        # I = c_0 + 2 |h_1| cos(delta - arg h_1) with h_1 = (c_1 + conj c_-1) / 2,
+        # which is what the path below computes at delta = 0 and pi.  The
+        # eps^2 floor cannot move c_0 +- 2 |h_1| by a rounding step, so it is
+        # not applied.
+        c0 = harmonics[:, 1].real
+        amplitude = np.abs(0.5 * (harmonics[:, 2] + harmonics[:, 0].conj()))
+        return c0 + 2.0 * amplitude, c0 - 2.0 * amplitude
     # The pattern is the real part of the sum, which only sees the Hermitian
     # part (c_m + conj c_-m) / 2, so each row is made exactly Hermitian and
     # kept as c_0..c_(n-1).  Harmonics below eps^2 of the largest change I by
@@ -292,10 +304,16 @@ def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
     harmonics = _harmonics(matrix[None])
     i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
-    return FringeProfile(
-        delta=np.linspace(0.0, 2.0 * np.pi, count, endpoint=False),
-        intensity=_sample_pattern(harmonics[0], count),
-        i_max=i_max, i_min=i_min, visibility=_michelson(i_max, i_min))
+    delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    intensity = _sample_pattern(harmonics[0], count)
+    # Nothing else holds these new arrays, so the profile owns them read-only
+    # instead of taking the copies FringeProfile(...) makes of its inputs.
+    delta.setflags(write=False)
+    intensity.setflags(write=False)
+    profile = object.__new__(FringeProfile)
+    profile.__dict__.update(delta=delta, intensity=intensity, i_max=i_max,
+                            i_min=i_min, visibility=_michelson(i_max, i_min))
+    return profile
 
 
 def intensity_profile(state: InterferometerState,

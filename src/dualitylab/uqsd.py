@@ -262,6 +262,8 @@ def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
     """
     if not _is_integer(trials) or not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     probs = _born_probabilities(problem, povm)
 
     rng = np.random.default_rng(seed)

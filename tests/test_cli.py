@@ -202,12 +202,13 @@ class TestReportMode:
         assert payload["timestamp"] == "2023-11-14T22:13:20+00:00"
 
     def test_mixed_report_decomposes_each_matrix_once(self, tmp_path, spectral_calls):
-        # build_mixed_state decomposes rho, gram and rho * gram; the duality
-        # block and the diagnostics block both read the record it stored.
+        # build_mixed_state decomposes rho, gram and rho * gram in one call;
+        # the duality block and the diagnostics block both read the record
+        # it stored.
         config_path = write_config(tmp_path, "c.json",
                                    report_config(tmp_path, state=MIXED_STATE))
         assert main(["report", "--config", config_path]) == 0
-        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
         payload = json.loads((tmp_path / "report.json").read_text())
         config = parse_config(json.dumps(report_config(tmp_path, state=MIXED_STATE)))
         rank = validate(build_mixed_state(config.rho, config.gram)).gram_rank
@@ -307,9 +308,12 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "absent.json")]) == 2
 
-    def test_mode_mismatch_is_2(self, tmp_path):
+    def test_mode_mismatch_is_2(self, tmp_path, capsys):
         config_path = write_config(tmp_path, "c.json", report_config(tmp_path))
         assert main(["pairs", "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config declares mode 'report' but mode 'pairs' "
+            "was given on the command line\n")
 
     def test_validation_error_is_3(self, tmp_path, capsys):
         config = {

@@ -259,18 +259,18 @@ class TestValidateDiagnostics:
 
     def test_built_state_is_checked_once(self, spectral_calls):
         state = build_mixed_state(np.eye(3) / 3, random_gram(3, np.random.default_rng(4)))
-        # rho, gram and the effective state, one decomposition each.
-        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        # rho, gram and the effective state, once each in one call.
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
         assert validate(state) is state.diagnostics
         assert validate(state).ok
-        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
 
     def test_hand_built_state_is_checked_on_first_read(self, spectral_calls):
         state = InterferometerState(rho=np.eye(2) / 2, gram=np.eye(2), purity_flag=False)
         assert spectral_calls["eigvalsh"] == 0
         first = validate(state)
         assert validate(state) is first is state.diagnostics
-        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
         assert first.ok and first.gram_rank == 2
 
     @pytest.mark.parametrize("matrix", ["rho", "gram"])
@@ -288,7 +288,7 @@ class TestValidateDiagnostics:
         assert not diagnostics.ok
         assert not checks[f"{matrix}_psd"].passed
         assert np.isnan(checks[f"{matrix}_psd"].residual)
-        assert spectral_calls == {"eigvalsh": 3, "matrix_rank": 0}
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
 
 
 class TestStackedChecks:

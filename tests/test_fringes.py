@@ -108,6 +108,28 @@ class TestIntensityProfile:
             profile = intensity_profile(random_mixed_state(n, rng))
             assert profile.intensity.min() >= -1e-12
 
+    def test_profiles_hold_read_only_arrays_of_their_own(self):
+        state = random_mixed_state(4, np.random.default_rng(229))
+        profiles = [intensity_profile(state), intensity_profile(state),
+                    two_slit_pattern(state, 0, 1), two_slit_pattern(state, 0, 1)]
+        arrays = [arr for profile in profiles
+                  for arr in (profile.delta, profile.intensity)]
+        assert not any(arr.flags.writeable for arr in arrays)
+        for a, arr in enumerate(arrays):
+            assert not any(np.shares_memory(arr, other) for other in arrays[a + 1:])
+
+    def test_constructor_copies_its_inputs(self):
+        delta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        intensity = 1.0 + np.cos(delta)
+        profile = FringeProfile(delta=delta, intensity=intensity,
+                                i_max=2.0, i_min=0.0, visibility=1.0)
+        expected = (delta.copy(), intensity.copy())
+        delta[:] = 7.0
+        intensity[:] = 7.0
+        np.testing.assert_array_equal(profile.delta, expected[0])
+        np.testing.assert_array_equal(profile.intensity, expected[1])
+        assert not (profile.delta.flags.writeable or profile.intensity.flags.writeable)
+
     def test_visibility_matches_stored_extrema(self):
         rng = np.random.default_rng(227)
         profile = intensity_profile(random_mixed_state(3, rng))
@@ -269,6 +291,43 @@ class TestExactExtrema:
             assert len({(p.i_max, p.i_min, p.visibility) for p in profiles}) == 1
 
 
+class TestTwoSlitExtrema:
+    """Two-slit rows take the closed form c_0 +- 2 |h_1|, with
+    h_1 = (c_1 + conj c_-1) / 2, in place of an eigensolve."""
+
+    EDGE_ROWS = {
+        "zero_c1": [[0.6, 0.0], [0.0, 0.4]],
+        "subnormal_c1": [[0.5, 5e-324], [1e-320, 0.5]],
+        "c1_below_floor": [[0.5, 1e-33], [1e-33, 0.5]],
+        "non_hermitian": [[0.3 + 0.2j, 0.1 - 0.4j], [0.25 + 0.1j, 0.7 - 0.5j]],
+        "all_zero": [[0.0, 0.0], [0.0, 0.0]],
+    }
+
+    def test_closed_form_and_oracle(self):
+        rng = np.random.default_rng(331)
+        random = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        matrices = np.concatenate(
+            [np.array(list(self.EDGE_ROWS.values()), dtype=complex), 0.3 * random])
+        harmonics = _harmonics(matrices)
+        i_max, i_min = _extrema(harmonics)
+        c0 = matrices[:, 0, 0].real + matrices[:, 1, 1].real
+        amplitude = np.abs(0.5 * (matrices[:, 1, 0] + matrices[:, 0, 1].conj()))
+        np.testing.assert_array_equal(i_max, c0 + 2.0 * amplitude)
+        np.testing.assert_array_equal(i_min, c0 - 2.0 * amplitude)
+        for row, matrix in enumerate(matrices):
+            # The pattern only sees the Hermitian part, which the oracle needs.
+            expected = companion_extrema(0.5 * (matrix + matrix.conj().T))
+            assert abs(i_max[row] - expected[0]) <= 1e-15, row
+            assert abs(i_min[row] - expected[1]) <= 1e-15, row
+
+    def test_each_row_alone_equals_the_stack(self):
+        matrices = np.array(list(self.EDGE_ROWS.values()), dtype=complex)
+        stacked = _extrema(_harmonics(matrices))
+        for row, matrix in enumerate(matrices):
+            alone = _extrema(_harmonics(matrix[None]))
+            assert (alone[0][0], alone[1][0]) == (stacked[0][row], stacked[1][row])
+
+
 class TestCompanionOracle:
     SIZES = [*range(2, 33), 64, 64, 64]
 
@@ -346,7 +405,7 @@ class TestTwoSlitOracle:
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             profile = two_slit_pattern(state, i, j)
             assert extract_visibility(profile) == pytest.approx(
-                pair_visibility(state, i, j), abs=1e-6)
+                pair_visibility(state, i, j), abs=1e-12)
 
     def test_matches_pair_visibility_random(self):
         rng = np.random.default_rng(307)
@@ -356,7 +415,7 @@ class TestTwoSlitOracle:
             i, j = map(int, rng.choice(n, size=2, replace=False))
             profile = two_slit_pattern(state, i, j)
             assert abs(extract_visibility(profile)
-                       - pair_visibility(state, i, j)) <= 1e-6
+                       - pair_visibility(state, i, j)) <= 1e-12
 
     def test_rejects_wide_geometry(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
@@ -481,14 +540,17 @@ class TestMeiWeitzScan:
 
 class TestStackedScan:
     def test_one_decomposition_per_matrix_per_block(self, spectral_calls):
-        # rho once, the Gram stack once and the effective stack once.
+        # rho once in one call, each Gram and effective matrix once in another.
         for points in (1, 21, SCAN_BLOCK_POINTS):
-            spectral_calls["eigvalsh"] = 0
+            spectral_calls.update(eigvalsh=0, matrices=0)
             mei_weitz_scan(4, 3, [3], np.linspace(0.0, 1.0, points))
-            assert spectral_calls["eigvalsh"] == 3, points
-        spectral_calls["eigvalsh"] = 0
-        mei_weitz_scan(4, 3, [3], np.linspace(0.0, 1.0, 2 * SCAN_BLOCK_POINTS + 1))
-        assert spectral_calls["eigvalsh"] == 9
+            assert (spectral_calls["eigvalsh"], spectral_calls["matrices"]) == \
+                (2, 1 + 2 * points), points
+        spectral_calls.update(eigvalsh=0, matrices=0)
+        points = 2 * SCAN_BLOCK_POINTS + 1
+        mei_weitz_scan(4, 3, [3], np.linspace(0.0, 1.0, points))
+        assert (spectral_calls["eigvalsh"], spectral_calls["matrices"]) == \
+            (6, 3 + 2 * points)
 
     def test_rows_of_different_degree_match_oracle(self):
         # At g = 0 the outer harmonic vanishes, so those rows have degree 4

@@ -156,9 +156,9 @@ class TestDualityReport:
     def test_report_decomposes_nothing(self, spectral_calls):
         # The rank and the PSD checks live in the state's diagnostics.
         state = random_mixed_state(6, np.random.default_rng(61), gram_rank=2)
-        spectral_calls.update(eigvalsh=0, matrix_rank=0)
+        spectral_calls.update(eigvalsh=0, matrix_rank=0, matrices=0)
         duality_report(state)
-        assert spectral_calls == {"eigvalsh": 0, "matrix_rank": 0}
+        assert spectral_calls == {"eigvalsh": 0, "matrix_rank": 0, "matrices": 0}
 
     def test_symmetric_sum_only_for_symmetric_states(self):
         state = build_pure_state(np.sqrt([0.5, 0.3, 0.2]), [(1, 0)] * 3)

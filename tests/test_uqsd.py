@@ -216,6 +216,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(problem, povm, -5, seed=1)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+    def test_invalid_seed_rejected(self, seed):
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        with pytest.raises(ValueError, match="seed"):
+            simulate(problem, build_povm(problem), 1000, seed=seed)
+
     def test_trials_bounded_by_int64(self):
         problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
         povm = build_povm(problem)
