@@ -24,6 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,10 +61,10 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
-# Paths in a `state` section.  The slowest state mode, `fringes` on a mixed
-# state at MAX_PHASE_STEPS, takes about 2.5-3.5 s and peaks at about 275 MiB
-# at this cap (a 6 MiB config) on a 2-core x86 host; `report` takes 2-3 s and
-# 190 MiB, mostly JSON handling of the config and its echo.
+# Paths in a `state` section.  At this cap (a 6 MiB config) the slowest state
+# modes take about 2 s on a 2-core x86 host: `fringes` on a mixed state at
+# MAX_PHASE_STEPS peaks at about 106 MiB, and `report` at about 180 MiB,
+# mostly JSON handling of the config and its echo.
 MAX_STATE_PATHS = 256
 
 
@@ -74,10 +75,7 @@ class ScenarioConfig:
 
     mode: str
     raw: dict
-    amplitudes: np.ndarray | None = None
-    detectors: np.ndarray | None = None
-    rho: np.ndarray | None = None
-    gram: np.ndarray | None = None
+    state: dict | None = None  # build_pure_state's or build_mixed_state's keyword arguments
     phase_step_count: int = DEFAULT_PHASE_STEPS
     meiweitz: dict | None = None  # mei_weitz_scan's keyword arguments
     uqsd: dict | None = None  # the section, with d1, d2 and p1 parsed
@@ -105,8 +103,31 @@ def _complex_value(node, path: str, errors: list[str]) -> complex:
     return complex(0.0)
 
 
+def _bulk(node, ndim: int, min_length: int) -> np.ndarray | None:
+    """A vector (ndim 1) or matrix (ndim 2) of plain numbers or [re, im]
+    pairs as complex numbers in one pass, or None to leave the input, and the
+    wording of its errors, to the entry walk.  numpy reads True, "1.5" and
+    null as numbers, so every leaf must be an int or a float."""
+    try:
+        values = np.array(node, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    pairs = values.ndim == ndim + 1 and values.shape[-1] == 2
+    if not (values.ndim == ndim or pairs) or min(values.shape[:ndim]) < min_length:
+        return None
+    for _ in range(values.ndim - 1):
+        node = chain.from_iterable(node)
+    if not set(map(type, node)) <= {int, float}:
+        return None
+    # Exact: a contiguous (re, im) float pair is a complex number's layout.
+    return values.view(complex)[..., 0] if pairs else values.astype(complex)
+
+
 def _complex_vector(node, path: str, errors: list[str],
                     min_length: int = 1) -> np.ndarray | None:
+    values = _bulk(node, 1, min_length)
+    if values is not None:
+        return values
     if not isinstance(node, list) or len(node) < min_length:
         errors.append(f"{path}: expected a list of at least {min_length} entries")
         return None
@@ -115,6 +136,9 @@ def _complex_vector(node, path: str, errors: list[str],
 
 
 def _complex_matrix(node, path: str, errors: list[str]) -> np.ndarray | None:
+    values = _bulk(node, 2, 1)
+    if values is not None:
+        return values
     if not isinstance(node, list) or not node:
         errors.append(f"{path}: expected a non-empty list of rows")
         return None
@@ -181,11 +205,12 @@ def _parse_state(node, errors: list[str]) -> dict:
         errors.append(f"state: at most {MAX_STATE_PATHS} paths, got {paths}")
         return {}
     if "rho" in node:
-        return {"rho": _complex_matrix(node["rho"], "state.rho", errors),
-                "gram": _complex_matrix(node["gram"], "state.gram", errors)}
-    return {"amplitudes": _complex_vector(node["amplitudes"], "state.amplitudes",
-                                          errors, min_length=2),
-            "detectors": _complex_matrix(node["detectors"], "state.detectors", errors)}
+        return {"state": {"rho": _complex_matrix(node["rho"], "state.rho", errors),
+                          "gram": _complex_matrix(node["gram"], "state.gram", errors)}}
+    return {"state": {
+        "amplitudes": _complex_vector(node["amplitudes"], "state.amplitudes", errors,
+                                      min_length=2),
+        "detectors": _complex_matrix(node["detectors"], "state.detectors", errors)}}
 
 
 def _parse_geometry(node, errors: list[str]) -> dict:
@@ -371,9 +396,8 @@ def _diagnostics_dict(diagnostics: StateDiagnostics) -> dict:
 
 
 def _build_state(config: ScenarioConfig) -> InterferometerState:
-    if config.amplitudes is not None:
-        return build_pure_state(config.amplitudes, config.detectors)
-    return build_mixed_state(config.rho, config.gram)
+    state = config.state
+    return (build_pure_state if "amplitudes" in state else build_mixed_state)(**state)
 
 
 def build_report_document(config: ScenarioConfig,
@@ -403,10 +427,19 @@ def build_report_document(config: ScenarioConfig,
         timestamp=_timestamp())
 
 
-def _csv(header: str, rows) -> str:
-    """A table of one tuple of numbers per row, under the given header."""
-    line = ",".join([_NUMBER] * (header.count(",") + 1))
-    return "\n".join([header, *(line % row for row in rows)]) + "\n"
+# Rows per formatted chunk of a CSV table: the rows are formatted, and
+# written, one chunk at a time, so no table's whole text is held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv(header: str, *columns):
+    """The table of the given columns under the header, as text chunks."""
+    table = np.column_stack(columns)
+    line = ",".join([_NUMBER] * len(columns)) + "\n"
+    yield header + "\n"
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        chunk = table[start:start + _CSV_CHUNK_ROWS]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _uqsd_problem(section: dict):
@@ -445,15 +478,16 @@ def build_uqsd_document(config: ScenarioConfig) -> dict:
     }
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Temp file plus rename; an OSError surfaces as a ConfigError naming
-    the path, since the path comes from the config or --output."""
+def _write_atomic(path: str, chunks) -> None:
+    """The text chunks, in order, into a temp file, then a rename; an OSError
+    surfaces as a ConfigError naming the path, since the path comes from the
+    config or --output."""
     target = os.path.abspath(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-dualitylab-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, target)
     except OSError as exc:
         raise ConfigError([f"cannot write {path}: {exc.strerror or exc}"]) from exc
@@ -493,7 +527,7 @@ def run(config: ScenarioConfig, output_override: str | None = None,
 
     if config.mode == "report":
         document = build_report_document(config, _build_state(config))
-        text, duality = document.to_json(), document.duality
+        chunks, duality = [document.to_json()], document.duality
         summary = (f"coherence={_fmt(duality['coherence'])} "
                    f"distinguishability={_fmt(duality['distinguishability'])} "
                    f"duality_margin={_fmt(duality['duality_margin'])}")
@@ -502,30 +536,29 @@ def run(config: ScenarioConfig, output_override: str | None = None,
         for i, j in report.dark_pairs:
             print(f"warning: pair ({i + 1}, {j + 1}) carries no probability; "
                   "omitted from the table", file=sys.stderr)
+        i, j, visibility, distinguishability, slack, weight = \
+            np.array(report.pairwise, dtype=float).reshape(-1, 6).T
         # 1-based path labels in human-facing tables.
-        text = _csv("i,j,weight,visibility,distinguishability,slack",
-                    ((m.i + 1, m.j + 1, m.pair_weight, m.visibility,
-                      m.distinguishability, m.slack) for m in report.pairwise))
+        chunks = _csv("i,j,weight,visibility,distinguishability,slack",
+                      i + 1, j + 1, weight, visibility, distinguishability, slack)
         summary = f"{len(report.pairwise)} pairs"
     elif config.mode == "fringes":
         state = _build_state(config)
         profile = intensity_profile(
             state, SlitGeometry(n=state.n, phase_step_count=config.phase_step_count))
-        text = _csv("delta,intensity",
-                    zip(profile.delta.tolist(), profile.intensity.tolist()))
+        chunks = _csv("delta,intensity", profile.delta, profile.intensity)
         summary = f"visibility={_fmt(profile.visibility)}"
     elif config.mode == "meiweitz":
         scan = mei_weitz_scan(**config.meiweitz)
-        text = _csv("g,visibility,coherence,distinguishability",
-                    zip(scan.gamma_grid.tolist(), scan.visibilities.tolist(),
-                        scan.coherences.tolist(), scan.distinguishabilities.tolist()))
+        chunks = _csv("g,visibility,coherence,distinguishability", scan.gamma_grid,
+                      scan.visibilities, scan.coherences, scan.distinguishabilities)
         summary = f"{scan.gamma_grid.size} grid points"
     else:
         document = build_uqsd_document(config)
-        text = _json(document)
+        chunks = [_json(document)]
         summary = (f"analytic={_fmt(document['analytic']['success_probability'])} "
                    f"empirical={_fmt(document['simulation']['success_frequency'])}")
-    _write_atomic(out_path, text)
+    _write_atomic(out_path, chunks)
     print(f"wrote {out_path}: {summary}")
     return 0
 

@@ -3,6 +3,7 @@
 import argparse
 import copy
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import dualitylab
-from dualitylab import ConfigError, build_mixed_state, build_pure_state, coherence, \
-    validate
+from dualitylab import ConfigError, SlitGeometry, build_mixed_state, build_pure_state, \
+    coherence, duality_report, intensity_profile, mei_weitz_scan, validate
 from dualitylab import cli
 from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, build_report_document, main, \
     parse_config
@@ -58,8 +59,8 @@ class TestParseConfig:
             "output": {"format": "csv", "path": "out.csv"},
         }))
         assert config.mode == "fringes"
-        assert config.amplitudes.shape == (2,)
-        assert config.detectors.shape == (2, 2)
+        assert config.state["amplitudes"].shape == (2,)
+        assert config.state["detectors"].shape == (2, 2)
         assert config.phase_step_count == DEFAULT_PHASE_STEPS
 
     def test_huge_integers_are_aggregated_errors(self):
@@ -81,8 +82,8 @@ class TestParseConfig:
                       "gram": [[1, 0], [0, 1]]},
             "output": {"format": "json", "path": "out.json"},
         }))
-        assert config.rho[0, 1] == -0.5j
-        assert config.rho[1, 0] == 0.5j
+        assert config.state["rho"][0, 1] == -0.5j
+        assert config.state["rho"][1, 0] == 0.5j
 
     def test_both_state_forms_rejected(self):
         with pytest.raises(ConfigError) as info:
@@ -137,6 +138,92 @@ class TestParseConfig:
         assert any("output.format" in m for m in info.value.messages)
 
 
+def _hex(values: np.ndarray) -> list[str]:
+    """Every real and imaginary part, bit for bit, as float hex."""
+    return [part.hex() for z in values.ravel().tolist() for part in (z.real, z.imag)]
+
+
+# Leaves at the edges of float conversion: ints past 2^53 and 2^64, signed
+# zeros, the smallest subnormal, the largest magnitudes and NaN.
+EDGE_LEAVES = (0, 1, -7, 2**53 + 1, 2**53 + 3, 2**60 + 3, -(2**64 + 5), 10**30,
+               0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, float("nan"))
+HUGE = "1" + "0" * 400
+
+
+class TestBulkParse:
+    def test_fuzzed_members_match_the_entry_walk(self, monkeypatch):
+        rng = np.random.default_rng(1604)
+
+        def leaf():
+            k = int(rng.integers(len(EDGE_LEAVES) + 1))
+            return EDGE_LEAVES[k] if k < len(EDGE_LEAVES) else float(rng.normal())
+
+        for _ in range(400):
+            rows, cols = (int(k) for k in rng.integers(1, 6, size=2))
+            pairs = bool(rng.integers(2))
+            matrix = [[[leaf(), leaf()] if pairs else leaf() for _ in range(cols)]
+                      for _ in range(rows)]
+            # Through JSON text, so NaN arrives as the literal NaN.
+            matrix = json.loads(json.dumps(matrix))
+            for parse, ndim, node in ((cli._complex_matrix, 2, matrix),
+                                      (cli._complex_vector, 1, matrix[0])):
+                assert cli._bulk(node, ndim, 1) is not None
+                fast_errors, walk_errors = [], []
+                fast = parse(node, "m", fast_errors)
+                with monkeypatch.context() as patch:  # the entry walk alone
+                    patch.setattr(cli, "_bulk", lambda *_: None)
+                    walked = parse(node, "m", walk_errors)
+                assert fast_errors == walk_errors == []
+                assert fast.shape == walked.shape == (rows, cols)[2 - ndim:]
+                assert _hex(fast) == _hex(walked)
+
+    def test_mixed_forms_are_left_to_the_walk(self):
+        node = [[0.5, [0.1, -0.0]], [[0.1, 0.2], 2**60 + 3]]
+        assert cli._bulk(node, 2, 1) is None
+        errors = []
+        matrix = cli._complex_matrix(node, "m", errors)
+        assert errors == []
+        expected = np.array([[0.5, complex(0.1, -0.0)], [0.1 + 0.2j, 2.0**60]])
+        assert _hex(matrix) == _hex(expected)
+
+    def test_real_two_by_two_stays_plain(self):
+        matrix = cli._complex_matrix([[1, 0], [0, 1]], "m", [])
+        assert _hex(matrix) == _hex(np.eye(2, dtype=complex))
+        # As a vector, the same list is two [re, im] pairs.
+        assert cli._complex_vector([[1, 0], [0, 1]], "v", []).tolist() == [1, 1j]
+
+    @pytest.mark.parametrize("leaf,got", [
+        ("true", "got True"), ('"1.5"', "got '1.5'"), ("null", "got None"),
+        ("[1, 2, 3]", "got [1, 2, 3]"), ("[[1, 0], 0]", "got [[1, 0], 0]"),
+        (HUGE, None)])
+    def test_rejected_leaf_messages(self, leaf, got):
+        detail = ("int too large to convert to float" if got is None
+                  else f"expected a number or [re, im] pair, {got}")
+        for text, paths in [
+            ('{"mode": "report", "state": {"rho": [[0.5, %s], [[0.1, -0.2], 0.5]], '
+             '"gram": [[1, 0], [0, %s]]}, "output": {"format": "json", "path": "o"}}',
+             ("state.rho[0][1]", "state.gram[1][1]")),
+            ('{"mode": "uqsd", "uqsd": {"d1": [1, %s], "d2": [%s, 0], "p1": 0.5, '
+             '"trials": 10, "seed": 1}, "output": {"format": "json", "path": "o"}}',
+             ("uqsd.d1[1]", "uqsd.d2[0]"))]:
+            with pytest.raises(ConfigError) as info:
+                parse_config(text % (leaf, leaf))
+            assert info.value.messages == [f"{path}: {detail}" for path in paths]
+
+    @pytest.mark.parametrize("rows,messages", [
+        ("[[0.5, 0.5], [0.5]]", ["row length 1 differs from 2"]),
+        ("[[0.5, 0.5], [[0.5, 0], [0.5, 0], [1, 0]]]", ["row length 3 differs from 2"]),
+        ("[[]]", ["expected a list of at least 1 entries"])])
+    def test_rejected_row_messages(self, rows, messages):
+        text = ('{"mode": "report", "state": {"rho": %s, "gram": %s}, '
+                '"output": {"format": "json", "path": "o"}}' % (rows, rows))
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        row = "0" if rows == "[[]]" else "1"
+        assert info.value.messages == [f"state.{name}[{row}]: {message}"
+                                       for name in ("rho", "gram") for message in messages]
+
+
 class TestReportMode:
     def test_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -176,7 +263,7 @@ class TestReportMode:
                  "gram": [[1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
         config = parse_config(json.dumps(report_config(tmp_path, state=state)))
         document = build_report_document(
-            config, build_mixed_state(config.rho, config.gram))
+            config, build_mixed_state(**config.state))
         assert document.duality["dark_pairs"] == [[2, 3]]
         text = document.to_json()
         assert text == json.dumps(dataclasses.asdict(document), indent=2,
@@ -211,7 +298,7 @@ class TestReportMode:
         assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
         payload = json.loads((tmp_path / "report.json").read_text())
         config = parse_config(json.dumps(report_config(tmp_path, state=MIXED_STATE)))
-        rank = validate(build_mixed_state(config.rho, config.gram)).gram_rank
+        rank = validate(build_mixed_state(**config.state)).gram_rank
         assert payload["duality"]["gram_rank"] == payload["diagnostics"]["gram_rank"] == rank == 2
 
 
@@ -297,6 +384,91 @@ class TestTableModes:
         assert payload["simulation"]["freq_wrong"] == 0.0
         assert payload["simulation"]["success_frequency"] == pytest.approx(0.5, abs=0.01)
         assert payload["simulation"]["seed"] == 77
+
+
+def _per_row(header: str, *columns) -> str:
+    """A table formatted one row at a time: the reference for _csv."""
+    line = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header, *(line % row for row in zip(*columns))]) + "\n"
+
+
+class TestCsvChunks:
+    EDGE = (-0.0, 1e-320, 1e308, -1e308, 0.1, 2.0**53 + 2, float("nan"), float("inf"))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunks_match_per_row_formatting(self, extra):
+        chunk = cli._CSV_CHUNK_ROWS
+        count = chunk + extra
+        rng = np.random.default_rng(count)
+        labels = np.arange(1, count + 1)  # an int column, as the pair labels are
+        values = rng.normal(size=count) * 10.0 ** rng.integers(-320, 308, size=count)
+        values[:len(self.EDGE)] = self.EDGE
+        chunks = list(cli._csv("i,x,y", labels, values, values[::-1]))
+        assert len(chunks) == 1 + -(-count // chunk)
+        assert "".join(chunks) == _per_row("i,x,y", labels.tolist(), values.tolist(),
+                                           values[::-1].tolist())
+
+    def test_empty_table_is_its_header(self):
+        assert list(cli._csv("a,b", np.empty(0), np.empty(0))) == ["a,b\n"]
+
+    @pytest.mark.parametrize("mode", ["pairs", "fringes", "meiweitz"])
+    def test_tables_match_per_row_formatting(self, tmp_path, monkeypatch, mode):
+        out = tmp_path / "t.csv"
+        sections = {
+            "pairs": {"state": {"amplitudes": [5 ** -0.5] * 5,
+                                "detectors": np.eye(5)[[0, 1, 1, 2, 3]].tolist()}},
+            "fringes": {"state": dict(SYMMETRIC_STATE),
+                        "geometry": {"phase_step_count": 64}},
+            "meiweitz": {"meiweitz": {"n": 4, "flipped_path": 3, "decohered_paths": [3],
+                                      "gamma_grid": [0.0, 0.25, 0.5, 0.75, 1.0]}},
+        }
+        config = {"mode": mode, **sections[mode],
+                  "output": {"format": "csv", "path": str(out)}}
+        config_path = write_config(tmp_path, "c.json", config)
+        parsed = parse_config(json.dumps(config))
+        if mode == "pairs":
+            rows = duality_report(cli._build_state(parsed)).pairwise
+            reference = _per_row("i,j,weight,visibility,distinguishability,slack",
+                                 *zip(*((m.i + 1, m.j + 1, m.pair_weight, m.visibility,
+                                         m.distinguishability, m.slack) for m in rows)))
+        elif mode == "fringes":
+            profile = intensity_profile(cli._build_state(parsed),
+                                        SlitGeometry(n=3, phase_step_count=64))
+            reference = _per_row("delta,intensity", profile.delta.tolist(),
+                                 profile.intensity.tolist())
+        else:
+            scan = mei_weitz_scan(**parsed.meiweitz)
+            reference = _per_row("g,visibility,coherence,distinguishability",
+                                 scan.gamma_grid.tolist(), scan.visibilities.tolist(),
+                                 scan.coherences.tolist(), scan.distinguishabilities.tolist())
+        # Chunks of 3 rows: several chunks and a short last one in each table.
+        for chunk_rows in (cli._CSV_CHUNK_ROWS, 3):
+            monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+            assert main([mode, "--config", config_path]) == 0
+            assert out.read_text(encoding="utf-8") == reference
+
+    def test_failure_mid_stream_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "fringes.csv"
+        out.write_text("before\n")
+        config_path = write_config(tmp_path, "c.json", {
+            "mode": "fringes", "state": dict(SYMMETRIC_STATE),
+            "geometry": {"phase_step_count": 64},
+            "output": {"format": "csv", "path": str(out)}})
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 8)
+        streamed = cli._csv
+
+        def full_disk(*args):
+            chunks = streamed(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_csv", full_disk)
+        assert main(["fringes", "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+        assert out.read_text() == "before\n"
+        assert not list(tmp_path.glob(".tmp-dualitylab-*"))
 
 
 class TestExitCodes:
