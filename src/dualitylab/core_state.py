@@ -53,20 +53,46 @@ _CHECKS = (
     ("effective_psd", -PSD_TOL),
 )
 _TOLERANCES = np.array([tolerance for _, tolerance in _CHECKS])
-# Defect-style residuals must stay at or below their positive tolerance and
-# spectral ones (the smallest eigenvalue) at or above their negative one.
-# Scaled by this sign, both read residual >= tolerance, which NaN fails.
+# The pass rule of every tolerance check: a negative tolerance is a floor the
+# residual must stay at or above (a smallest eigenvalue, a slack), any other
+# a ceiling it must stay at or below (a defect).  NaN meets neither.  Scaled
+# by this sign, both read residual >= tolerance, the table form of the rule.
 _SIGNS = np.where(_TOLERANCES < 0, 1.0, -1.0)
 
 
-def _as_complex_matrix(values, name: str) -> np.ndarray:
-    mat = np.asarray(values, dtype=complex)
+def _failed(residuals: np.ndarray) -> np.ndarray:
+    return ~(_SIGNS * residuals >= _SIGNS * _TOLERANCES)
+
+
+def _check(residual: float, tolerance: float, check: str, message,
+           error=ValidationError) -> None:
+    """Raise ``error`` unless ``residual`` passes ``tolerance`` by the rule
+    above (``_failed`` is its table form); ``message()`` runs only on failure."""
+    if residual >= tolerance if tolerance < 0 else residual <= tolerance:
+        return
+    raise error(message(), check=check, residual=residual, tolerance=tolerance)
+
+
+def _check_square(mat: np.ndarray, name: str) -> None:
+    """The shape rule of a state matrix: square, with at least 2 paths."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {mat.shape}",
                              check="square")
     if mat.shape[0] < 2:
         raise DimensionError(f"{name} needs at least 2 paths, got {mat.shape[0]}",
                              check="path_count")
+
+
+def _check_shared_dimension(rho: np.ndarray, gram: np.ndarray) -> None:
+    if rho.shape[-2:] != gram.shape[-2:]:
+        raise DimensionError(
+            f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
+            check="shared_dimension")
+
+
+def _as_complex_matrix(values, name: str) -> np.ndarray:
+    mat = np.asarray(values, dtype=complex)
+    _check_square(mat, name)
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
     return mat
@@ -90,10 +116,8 @@ def _as_unit_vectors(values, names, check: str, tolerance: float) -> list[np.nda
     with np.errstate(over="ignore"):
         norms = [float(np.linalg.norm(vec)) for vec in vecs]
     for name, norm in zip(names, norms):
-        if abs(norm - 1.0) > tolerance:
-            raise NormalizationError(f"{name} has norm {norm!r}, expected 1",
-                                     check=check, residual=abs(norm - 1.0),
-                                     tolerance=tolerance)
+        _check(abs(norm - 1.0), tolerance, check,
+               lambda: f"{name} has norm {norm!r}, expected 1", NormalizationError)
     return vecs
 
 
@@ -180,7 +204,8 @@ class InterferometerState:
     ``purity_flag`` is True when rho is (numerically) rank one, i.e. the
     quanton itself is in a pure state; every pairwise duality relation then
     saturates to an equality.  The arrays are stored read-only, so instances
-    are safe to share across threads.
+    are safe to share across threads.  Shapes are checked as the builders
+    check them (square, at least 2 paths, shared), raising DimensionError.
     """
 
     rho: np.ndarray
@@ -189,6 +214,9 @@ class InterferometerState:
 
     def __post_init__(self) -> None:
         _store_read_only(self, complex, "rho", "gram")
+        _check_square(self.rho, "rho")
+        _check_square(self.gram, "gram")
+        _check_shared_dimension(self.rho, self.gram)
 
     @property
     def n(self) -> int:
@@ -213,10 +241,7 @@ def _run_checks(rho: np.ndarray,
     the (..., len(_CHECKS)) residuals, one column per check, and the rho and
     gram spectra.
     """
-    if rho.shape[-2:] != gram.shape[-2:]:
-        raise DimensionError(
-            f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
-            check="shared_dimension")
+    _check_shared_dimension(rho, gram)
 
     # Entries near the float limit may overflow a defect or the effective
     # state to inf or NaN; either fails its check, as it should.
@@ -238,10 +263,6 @@ def _run_checks(rho: np.ndarray,
     for column, values in enumerate(columns):
         residuals[..., column] = values
     return residuals, rho_eigs, gram_eigs
-
-
-def _failed(residuals: np.ndarray) -> np.ndarray:
-    return ~(_SIGNS * residuals >= _SIGNS * _TOLERANCES)
 
 
 def _diagnostics(residuals: np.ndarray, gram_eigs: np.ndarray) -> StateDiagnostics:
@@ -278,10 +299,10 @@ def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> Non
     name, tolerance = _CHECKS[column]
     residual = float(residuals.reshape(-1, len(_CHECKS))[point, column])
     where = "" if start is None else f" at grid point {start + point}"
-    raise _ERROR_BY_CHECK.get(name, ValidationError)(
-        f"invariant '{name}' failed{where}: residual {residual!r} "
-        f"vs tolerance {tolerance!r}",
-        check=name, residual=residual, tolerance=tolerance)
+    _check(residual, tolerance, name,
+           lambda: f"invariant '{name}' failed{where}: residual {residual!r} "
+                   f"vs tolerance {tolerance!r}",
+           _ERROR_BY_CHECK.get(name, ValidationError))
 
 
 def build_pure_state(amplitudes, detectors) -> InterferometerState:
@@ -314,11 +335,9 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     # Norms past the float limit overflow to inf, which fails their checks.
     with np.errstate(over="ignore"):
         norm2 = float(np.sum(np.abs(c) ** 2))
-    if abs(norm2 - 1.0) > AMPLITUDE_NORM_TOL:
-        raise NormalizationError(
-            f"amplitudes have squared norm {norm2!r}, expected 1",
-            check="amplitude_norm", residual=abs(norm2 - 1.0),
-            tolerance=AMPLITUDE_NORM_TOL)
+    _check(abs(norm2 - 1.0), AMPLITUDE_NORM_TOL, "amplitude_norm",
+           lambda: f"amplitudes have squared norm {norm2!r}, expected 1",
+           NormalizationError)
 
     detectors = list(detectors)
     if len(detectors) != n:

@@ -12,7 +12,10 @@ class ValidationError(DualityLabError):
 
     Carries the name of the failed check together with the measured
     residual and the tolerance it was held against, so callers can report
-    the offending quantity instead of a bare message.
+    the offending quantity instead of a bare message.  ``residual`` is the
+    compared quantity, a magnitude where the message quotes a signed value;
+    a negative ``tolerance`` is a floor it had to reach, any other a ceiling
+    it had to stay under, and NaN meets neither.
     """
 
     def __init__(self, message: str, *, check: str | None = None,

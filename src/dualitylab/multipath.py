@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState
-from .errors import ValidationError
+from .core_state import InterferometerState, _check
 from .pairwise import PairMetrics, _check_pairs, _pair_table, _PairTable
 
 # Below this deviation of max|rho_ii - 1/n| the state counts as symmetric
@@ -133,10 +132,8 @@ def duality_report(state: InterferometerState) -> DualityReport:
     coh = coherence(state)
     dist = distinguishability(state)
     margin = 1.0 - (coh + dist)
-    if margin < -DUALITY_TOL:
-        raise ValidationError(
-            f"coherence + distinguishability exceeds 1 by {-margin!r}",
-            check="duality_bound", residual=margin, tolerance=DUALITY_TOL)
+    _check(margin, -DUALITY_TOL, "duality_bound",
+           lambda: f"coherence + distinguishability exceeds 1 by {-margin!r}")
 
     table = _pair_table(state)
     lit_mask = ~table.dark
@@ -147,12 +144,9 @@ def duality_report(state: InterferometerState) -> DualityReport:
     for label, direct, values in (("coherence", coh, table.visibility),
                                   ("distinguishability", dist, table.distinguishability)):
         aggregated = _aggregate(table, values, n, symmetric)
-        if abs(direct - aggregated) > AGGREGATION_TOL:
-            raise ValidationError(
-                f"pairwise-aggregated {label} {aggregated!r} deviates from the "
-                f"direct value {direct!r}",
-                check=f"{label}_aggregation",
-                residual=abs(direct - aggregated), tolerance=AGGREGATION_TOL)
+        _check(abs(direct - aggregated), AGGREGATION_TOL, f"{label}_aggregation",
+               lambda: f"pairwise-aggregated {label} {aggregated!r} deviates from "
+                       f"the direct value {direct!r}")
     both = table.distinguishability + table.visibility
     symmetric_sum = _aggregate(table, both, n, True) if symmetric else None
     weighted_sum = _aggregate(table, both, n, False)

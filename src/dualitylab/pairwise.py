@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import InterferometerState, _is_integer
-from .errors import DarkPairError, ValidationError
+from .core_state import InterferometerState, _check, _is_integer
+from .errors import DarkPairError
 
 # Below this total pair probability the 2x2 renormalization is numerically
 # meaningless.
@@ -136,18 +136,15 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
     """Raise for the first pair (scalars or arrays) whose closure or slack
     leaves tolerance, which means the state escaped validation."""
     closure = visibility + distinguishability + slack - 1.0
-    bad = (abs(closure) > IDENTITY_TOL) | (slack < SLACK_FLOOR)
+    bad = ~((abs(closure) <= IDENTITY_TOL) & (slack >= SLACK_FLOOR))
     if not np.any(bad):
         return
     k = np.flatnonzero(bad)[0]
     i, j, closure, slack = (np.ravel(column)[k] for column in (i, j, closure, slack))
-    if abs(closure) > IDENTITY_TOL:
-        raise ValidationError(
-            f"pair ({i}, {j}): V + D + slack deviates from 1 by {float(closure)!r}",
-            check="pair_identity", residual=float(closure), tolerance=IDENTITY_TOL)
-    raise ValidationError(
-        f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor",
-        check="pair_slack", residual=float(slack), tolerance=SLACK_FLOOR)
+    _check(float(abs(closure)), IDENTITY_TOL, "pair_identity",
+           lambda: f"pair ({i}, {j}): V + D + slack deviates from 1 by {float(closure)!r}")
+    _check(float(slack), SLACK_FLOOR, "pair_slack",
+           lambda: f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor")
 
 
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_unit_vectors, _is_integer, _store_read_only
+from .core_state import _as_unit_vectors, _check, _is_integer, _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 PRIOR_SUM_TOL = 1e-12
@@ -57,10 +57,8 @@ def _check_priors(p1: float, p2: float) -> None:
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise ValidationError(f"priors ({p1}, {p2}) must lie in [0, 1]",
                               check="prior_range")
-    if abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
-        raise NormalizationError(f"priors sum to {p1 + p2!r}, expected 1",
-                                 check="prior_sum", residual=abs(p1 + p2 - 1.0),
-                                 tolerance=PRIOR_SUM_TOL)
+    _check(abs(p1 + p2 - 1.0), PRIOR_SUM_TOL, "prior_sum",
+           lambda: f"priors sum to {p1 + p2!r}, expected 1", NormalizationError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,24 +176,18 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
 
     for name, element in (("e1", e1), ("e2", e2), ("e_fail", e_fail)):
         min_eig = float(np.linalg.eigvalsh(0.5 * (element + element.conj().T))[0])
-        if min_eig < -POVM_PSD_TOL:
-            raise ValidationError(
-                f"POVM element {name} has eigenvalue {min_eig!r}",
-                check="povm_psd", residual=min_eig, tolerance=-POVM_PSD_TOL)
+        _check(min_eig, -POVM_PSD_TOL, "povm_psd",
+               lambda: f"POVM element {name} has eigenvalue {min_eig!r}")
     for name, element, coords in (("e1", e1, d2c), ("e2", e2, d1c)):
         leak = float(np.vdot(coords, element @ coords).real)
-        if abs(leak) > UNAMBIGUITY_TOL:
-            raise ValidationError(
-                f"POVM element {name} leaks probability {leak!r} onto the "
-                "forbidden state", check="povm_unambiguity",
-                residual=leak, tolerance=UNAMBIGUITY_TOL)
+        _check(abs(leak), UNAMBIGUITY_TOL, "povm_unambiguity",
+               lambda: f"POVM element {name} leaks probability {leak!r} onto the "
+                       "forbidden state")
     success = (problem.p1 * float(np.vdot(d1c, e1 @ d1c).real)
                + problem.p2 * float(np.vdot(d2c, e2 @ d2c).real))
-    if abs(success - analytic.value) > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"POVM success probability {success!r} deviates from the analytic "
-            f"value {analytic.value!r}", check="povm_success",
-            residual=abs(success - analytic.value), tolerance=COMPLETENESS_TOL)
+    _check(abs(success - analytic.value), COMPLETENESS_TOL, "povm_success",
+           lambda: f"POVM success probability {success!r} deviates from the "
+                   f"analytic value {analytic.value!r}")
 
     return UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis)
 
@@ -230,24 +222,17 @@ def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
         vec = coords[:, k]
         for m, element in enumerate((povm.e1, povm.e2, povm.e_fail)):
             probs[k, m] = float(np.vdot(vec, element @ vec).real)
-    if probs.min() < -POVM_PSD_TOL:
-        raise ValidationError(
-            f"negative Born probability {probs.min()!r}; POVM is invalid",
-            check="born_probability", residual=float(probs.min()),
-            tolerance=-POVM_PSD_TOL)
+    _check(float(probs.min()), -POVM_PSD_TOL, "born_probability",
+           lambda: f"negative Born probability {probs.min()!r}; POVM is invalid")
     # A POVM built for other states can name the wrong one.
-    leak = max(probs[0, 1], probs[1, 0])
-    if leak > STRUCTURAL_ZERO:
-        raise ValidationError(
-            f"POVM identifies the wrong state with probability {leak!r}; it was "
-            "not built for this problem", check="born_unambiguity",
-            residual=float(leak), tolerance=STRUCTURAL_ZERO)
+    leak = np.maximum(probs[0, 1], probs[1, 0])
+    _check(float(leak), STRUCTURAL_ZERO, "born_unambiguity",
+           lambda: f"POVM identifies the wrong state with probability {leak!r}; "
+                   "it was not built for this problem")
     probs[probs < STRUCTURAL_ZERO] = 0.0
     rows = probs.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"Born probabilities sum to {rows!r}; POVM is incomplete",
-            check="born_completeness")
+    _check(float(np.max(np.abs(rows - 1.0))), COMPLETENESS_TOL, "born_completeness",
+           lambda: f"Born probabilities sum to {rows!r}; POVM is incomplete")
     return probs / rows[:, None]
 
 

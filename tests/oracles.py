@@ -66,3 +66,28 @@ def flip_scan_cosine_coefficients(g: float) -> list[float]:
 def flip_scan_visibility(g: float) -> float:
     """Exact full-pattern visibility of the scan configuration above."""
     return michelson(*cosine_series_extrema(flip_scan_cosine_coefficients(g)))
+
+
+def circulant_gram(eigenvalues) -> np.ndarray:
+    """The circulant Gram matrix Gamma_jk = c_((j - k) mod n) of n symmetric
+    detector states, built from its eigenvalues: c is their inverse DFT, so
+    eigenvalues that sum to n give a unit diagonal."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    n = eigenvalues.size
+    first_column = np.fft.ifft(eigenvalues)
+    gram = first_column[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    return 0.5 * (gram + gram.conj().T)
+
+
+def random_circulant_gram(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A random circulant Gram matrix and its eigenvalues, seeded by ``rng``.
+
+    The eigenvalues are n Dirichlet weights scaled to sum to n; in about half
+    the draws a random subset of them (never all) is zeroed first, so rank-
+    deficient Gram matrices and a zero smallest eigenvalue occur too.
+    """
+    eigenvalues = rng.dirichlet(np.ones(n))
+    if rng.random() < 0.5:
+        eigenvalues[rng.permutation(n)[:int(rng.integers(1, n))]] = 0.0
+    eigenvalues *= n / eigenvalues.sum()
+    return circulant_gram(eigenvalues), eigenvalues

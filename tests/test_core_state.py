@@ -14,7 +14,16 @@ from dualitylab import (
     effective_density,
     validate,
 )
-from dualitylab.core_state import _raise_first_failure, _run_checks
+from dualitylab.core_state import (
+    _CHECKS,
+    PSD_TOL,
+    TRACE_TOL,
+    _check,
+    _failed,
+    _raise_first_failure,
+    _run_checks,
+)
+from dualitylab.pairwise import IDENTITY_TOL, SLACK_FLOOR, _check_pairs
 from dualitylab.sampling import (
     random_amplitudes,
     random_detectors,
@@ -327,6 +336,125 @@ class TestStackedChecks:
         assert info.value.check == "rho_trace"
         assert "at grid point 10:" in str(info.value)
         assert info.value.residual == pytest.approx(0.1, abs=1e-12)
+
+
+def _rule_cases(tolerance):
+    """(residual, passes) around one tolerance under the pass rule: a
+    negative tolerance is a floor, any other a ceiling, NaN meets neither."""
+    floor = tolerance < 0
+    outward = -np.inf if floor else np.inf
+    return [(tolerance, True),
+            (float(np.nextafter(tolerance, outward)), False),
+            (float(np.nextafter(tolerance, -outward)), True),
+            (np.nan, False), (np.inf, floor), (-np.inf, not floor)]
+
+
+def _passes(residual, tolerance):
+    try:
+        _check(residual, tolerance, "probe", str)
+    except ValidationError:
+        return False
+    return True
+
+
+def _pair_outcome(visibility, distinguishability, slack):
+    """The check the pair pass raises for one pair (0, 1), or None; the
+    same pair as the middle row (0, 2) of an array pass must fare alike."""
+    values = [np.float64(value) for value in (visibility, distinguishability, slack)]
+    good = (0.5, 0.5, 0.0)
+    outcomes = []
+    for pair, args in [("(0, 1)", (0, 1, *values)),
+                       ("(0, 2)", (np.array([0, 0, 1]), np.array([1, 2, 2]),
+                                   *(np.array([g, v, g]) for g, v in zip(good, values))))]:
+        try:
+            _check_pairs(*args)
+            outcomes.append(None)
+        except ValidationError as error:
+            assert str(error).startswith(f"pair {pair}: ")
+            outcomes.append(error.check)
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestPassRule:
+    """One rule for every residual held against a tolerance: the helper, the
+    state table and the pair pass decide each case alike."""
+
+    @pytest.mark.parametrize("tolerance", [-PSD_TOL, TRACE_TOL, SLACK_FLOOR, IDENTITY_TOL])
+    def test_helper_applies_the_rule(self, tolerance):
+        for residual, passes in _rule_cases(tolerance):
+            built = []
+
+            def message():
+                built.append(residual)
+                return "text"
+
+            if passes:
+                _check(residual, tolerance, "probe", message)
+                assert built == [], residual
+                continue
+            with pytest.raises(NormalizationError) as info:
+                _check(residual, tolerance, "probe", message, NormalizationError)
+            error = info.value
+            assert (str(error), error.check, error.tolerance) == ("text", "probe", tolerance)
+            np.testing.assert_array_equal(error.residual, residual)
+
+    @pytest.mark.parametrize("check", ["rho_trace", "rho_psd"])
+    def test_state_table_agrees(self, check):
+        column = [name for name, _ in _CHECKS].index(check)
+        tolerance = _CHECKS[column][1]
+        for residual, passes in _rule_cases(tolerance):
+            row = np.zeros(len(_CHECKS))
+            row[column] = residual
+            assert _failed(row).tolist() == [k == column and not passes
+                                             for k in range(len(_CHECKS))], residual
+            assert _passes(residual, tolerance) == passes
+            if not passes:
+                with pytest.raises(ValidationError) as info:
+                    _raise_first_failure(row)
+                assert info.value.check == check
+
+    def test_pair_pass_agrees(self):
+        # closure = V + D + slack - 1 near zero is a multiple of 2^-52, so the
+        # identity is probed at the last closure inside IDENTITY_TOL and the
+        # next one; V carries the closure with D = 1 and slack = 0.
+        ulp = 2.0 ** -52
+        inside = np.floor(IDENTITY_TOL / ulp) * ulp
+        for closure, passes in [(inside, True), (inside + ulp, False),
+                                (-inside, True), (-inside - ulp, False),
+                                (np.nan, False), (np.inf, False), (-np.inf, False)]:
+            assert _passes(abs(closure), IDENTITY_TOL) == passes
+            expected = None if passes else "pair_identity"
+            assert _pair_outcome(closure, 1.0, 0.0) == expected, closure
+        # The slack with V = 1 and D = 0; a non-finite slack makes the closure
+        # non-finite too, and the identity is checked first.
+        for (slack, passes), identity in zip(_rule_cases(SLACK_FLOOR),
+                                             [True, True, True, False, False, False]):
+            assert _passes(slack, SLACK_FLOOR) == passes
+            expected = ("pair_identity" if not identity
+                        else None if passes else "pair_slack")
+            assert _pair_outcome(1.0, 0.0, slack) == expected, slack
+
+
+class TestHandBuiltShapes:
+    """A state assembled by hand meets the builders' shape rule, so that
+    ``validate`` has a state it can always report on."""
+
+    @pytest.mark.parametrize("rho,gram,check,message", [
+        ((2, 2), (3, 3), "shared_dimension",
+         "rho and gram must share dimensions, got (2, 2) vs (3, 3)"),
+        ((2, 3), (2, 3), "square", "rho must be a square matrix, got shape (2, 3)"),
+        ((2, 2), (2, 3), "square", "gram must be a square matrix, got shape (2, 3)"),
+        ((2,), (2,), "square", "rho must be a square matrix, got shape (2,)"),
+        ((), (), "square", "rho must be a square matrix, got shape ()"),
+        ((0, 0), (0, 0), "path_count", "rho needs at least 2 paths, got 0"),
+        ((2, 2), (1, 1), "path_count", "gram needs at least 2 paths, got 1"),
+    ])
+    def test_bad_shape_raises_the_builders_error(self, rho, gram, check, message):
+        for build in (lambda r, g: InterferometerState(r, g, False), build_mixed_state):
+            with pytest.raises(DimensionError) as info:
+                build(np.zeros(rho), np.zeros(gram))
+            assert (info.value.check, str(info.value)) == (check, message)
 
 
 class TestRandomEnsembleProperties:

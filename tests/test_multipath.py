@@ -21,6 +21,7 @@ from dualitylab import (
     pair_metrics,
     pair_visibility,
 )
+from dualitylab.multipath import DUALITY_TOL
 from dualitylab.sampling import (
     random_amplitudes,
     random_detectors,
@@ -30,6 +31,8 @@ from dualitylab.sampling import (
     random_symmetric_mixed_state,
     random_symmetric_pure_state,
 )
+
+from oracles import circulant_gram, random_circulant_gram
 
 ISQ3 = 1.0 / np.sqrt(3.0)
 TRINE_DETECTORS = [(1, 0), (0.5, np.sqrt(3) / 2), (0.5, -np.sqrt(3) / 2)]
@@ -196,6 +199,56 @@ class TestDualityReport:
             duality_report(state)
         assert info.value.check == "pair_slack"
         assert "pair (0, 1)" in str(info.value)
+
+
+    @pytest.mark.parametrize("matrix", ["rho", "gram"])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_nan_entry_fails_the_duality_bound(self, matrix, entry):
+        off_diagonal = 1.0 - np.eye(3)
+        arrays = {"rho": (np.eye(3) / 3 + 0.1 * off_diagonal).astype(complex),
+                  "gram": (np.eye(3) + 0.5 * off_diagonal).astype(complex)}
+        arrays[matrix][entry] = np.nan
+        state = InterferometerState(purity_flag=False, **arrays)
+        with pytest.raises(ValidationError) as info:
+            duality_report(state)
+        assert info.value.check == "duality_bound"
+        assert str(info.value) == "coherence + distinguishability exceeds 1 by nan"
+        assert np.isnan(info.value.residual)
+
+    def test_duality_bound_is_a_floor(self):
+        # C = 1.2 and D_Q = 0 from a non-PSD rho with a full-overlap Gram.
+        state = InterferometerState(rho=np.array([[0.5, 0.6], [0.6, 0.5]]),
+                                    gram=np.ones((2, 2)), purity_flag=False)
+        with pytest.raises(ValidationError) as info:
+            duality_report(state)
+        assert str(info.value) == "coherence + distinguishability exceeds 1 by 0.20000000000000018"
+        assert info.value.residual == pytest.approx(-0.2, abs=1e-15)
+        assert info.value.tolerance == -DUALITY_TOL
+
+
+class TestCirculantOracle:
+    """D_Q against the optimal unambiguous discrimination of n symmetric
+    detector states with equal priors, lambda_min(Gamma) (Chefles and
+    Barnett, Phys. Lett. A 250, 223 (1998)); D_Q is an upper bound on it
+    (Zhang, Feng, Sun and Ying, Phys. Rev. A 64, 062103 (2001))."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_d_q_bounds_the_optimum(self, n):
+        rng = np.random.default_rng(3200 + n)
+        for _ in range(300):
+            gram, eigenvalues = random_circulant_gram(n, rng)
+            d_q = distinguishability(build_mixed_state(np.eye(n) / n, gram))
+            assert eigenvalues.min() <= d_q + 1e-12
+            if n == 2:
+                assert abs(eigenvalues.min() - d_q) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_equal_real_overlaps_attain_the_optimum(self, n):
+        for s in np.linspace(0.0, 1.0, 21):
+            gram = circulant_gram([1.0 + (n - 1) * s] + [1.0 - s] * (n - 1))
+            np.testing.assert_allclose(gram, (1.0 - s) * np.eye(n) + s, atol=1e-15)
+            d_q = distinguishability(build_mixed_state(np.eye(n) / n, gram))
+            assert abs(d_q - (1.0 - s)) <= 1e-12, s
 
 
 class TestInvarianceProperties:

@@ -5,7 +5,9 @@ import pytest
 
 from dualitylab import (
     DarkPairError,
+    InterferometerState,
     PairMetrics,
+    ValidationError,
     build_mixed_state,
     build_pure_state,
     duality_report,
@@ -13,6 +15,7 @@ from dualitylab import (
     pair_distinguishability,
     pair_metrics,
     pair_visibility,
+    validate,
 )
 from dualitylab.pairwise import _pair_indices
 from dualitylab.sampling import random_mixed_state, random_pure_state
@@ -135,6 +138,42 @@ class TestPairMetrics:
         assert a.distinguishability == pytest.approx(b.distinguishability, abs=1e-15)
         assert a.slack == pytest.approx(b.slack, abs=1e-15)
         assert a.pair_weight == pytest.approx(b.pair_weight, abs=1e-15)
+
+
+    @pytest.mark.parametrize("matrix,entry", [("rho", (0, 0)), ("rho", (1, 1)),
+                                              ("rho", (0, 1)), ("gram", (0, 1))])
+    def test_nan_entry_fails_the_identity(self, matrix, entry):
+        off_diagonal = 1.0 - np.eye(3)
+        arrays = {"rho": (np.eye(3) / 3 + 0.1 * off_diagonal).astype(complex),
+                  "gram": (np.eye(3) + 0.5 * off_diagonal).astype(complex)}
+        arrays[matrix][entry] = np.nan
+        state = InterferometerState(purity_flag=False, **arrays)
+        with pytest.raises(ValidationError) as info:
+            pair_metrics(state, 0, 1)
+        assert info.value.check == "pair_identity"
+        assert str(info.value) == "pair (0, 1): V + D + slack deviates from 1 by nan"
+        assert np.isnan(info.value.residual)
+
+    def test_nan_gram_diagonal_is_not_read_by_a_pair(self):
+        # No pair formula reads gram's diagonal, so the pair's numbers stay
+        # those of the valid state; validate() names the broken invariant.
+        rho = np.eye(2, dtype=complex) / 2
+        gram = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        broken = gram.copy()
+        broken[0, 0] = np.nan
+        state = InterferometerState(rho=rho, gram=broken, purity_flag=False)
+        assert pair_metrics(state, 0, 1) == pair_metrics(build_mixed_state(rho, gram), 0, 1)
+        assert "gram_unit_diagonal" in [check.name for check in validate(state).failed()]
+
+    def test_identity_residual_is_the_compared_magnitude(self):
+        # |rho_01| = 1e17/3 rounds V + slack, so the closure misses 1 by -1.
+        rho = np.array([[0.5, 1e17 / 3], [1e17 / 3, 0.5]])
+        state = InterferometerState(rho=rho, gram=np.ones((2, 2)), purity_flag=False)
+        with pytest.raises(ValidationError) as info:
+            pair_metrics(state, 0, 1)
+        assert str(info.value) == "pair (0, 1): V + D + slack deviates from 1 by -1.0"
+        assert (info.value.check, info.value.residual, info.value.tolerance) == (
+            "pair_identity", 1.0, 1e-10)
 
 
 class TestPairRows:

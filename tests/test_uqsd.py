@@ -7,6 +7,7 @@ from dualitylab import (
     DimensionError,
     NormalizationError,
     RegimeError,
+    UqsdPovm,
     UqsdProblem,
     ValidationError,
     build_mixed_state,
@@ -207,6 +208,30 @@ class TestSimulate:
         with pytest.raises(ValidationError) as info:
             simulate(problem, other, 100_000, 1)
         assert info.value.check == "born_unambiguity"
+
+    @pytest.mark.parametrize("field", ["e1", "e2", "e_fail", "basis"])
+    def test_nan_povm_entry_rejected(self, field):
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        povm = build_povm(problem)
+        fields = {name: np.array(getattr(povm, name))
+                  for name in ("e1", "e2", "e_fail", "basis")}
+        fields[field][0, 0] = np.nan
+        with pytest.raises(ValidationError) as info:
+            simulate(problem, UqsdPovm(**fields), 1000, seed=1)
+        assert info.value.check == "born_probability"
+        assert np.isnan(info.value.residual)
+
+    def test_incomplete_povm_carries_its_residual(self):
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        povm = build_povm(problem)
+        doubled = UqsdPovm(e1=povm.e1, e2=povm.e2, e_fail=2 * povm.e_fail, basis=povm.basis)
+        with pytest.raises(ValidationError) as info:
+            simulate(problem, doubled, 1000, seed=1)
+        assert info.value.check == "born_completeness"
+        assert str(info.value).startswith("Born probabilities sum to array([")
+        # Each state fails with probability 1/2, now counted twice.
+        assert info.value.residual == pytest.approx(0.5, abs=1e-12)
+        assert info.value.tolerance == 1e-10
 
     def test_zero_trials_rejected(self):
         problem = UqsdProblem(d1=E1, d2=E2, p1=0.5, p2=0.5)
