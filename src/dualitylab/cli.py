@@ -34,8 +34,8 @@ from . import __version__
 from .core_state import InterferometerState, StateDiagnostics, build_mixed_state, \
     build_pure_state, validate
 from .errors import ConfigError, DualityLabError, ValidationError
-from .fringes import DEFAULT_PHASE_STEPS, MAX_PHASE_STEPS, MAX_SCAN_PATHS, \
-    MAX_SCAN_POINTS, MIN_PHASE_STEPS, SlitGeometry, intensity_profile, mei_weitz_scan
+from .fringes import MAX_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS, MIN_PHASE_STEPS, \
+    SlitGeometry, intensity_profile, mei_weitz_scan
 from .multipath import duality_report
 from .uqsd import MAX_TRIALS, UqsdProblem, build_povm, simulate, success_probability
 
@@ -76,7 +76,7 @@ class ScenarioConfig:
     mode: str
     raw: dict
     state: dict | None = None  # build_pure_state's or build_mixed_state's keyword arguments
-    phase_step_count: int = DEFAULT_PHASE_STEPS
+    geometry: dict | None = None  # SlitGeometry's keyword arguments besides n
     meiweitz: dict | None = None  # mei_weitz_scan's keyword arguments
     uqsd: dict | None = None  # the section, with d1, d2 and p1 parsed
     output_path: str = ""
@@ -217,9 +217,9 @@ def _parse_geometry(node, errors: list[str]) -> dict:
     node = _object(node, "geometry", {"phase_step_count"}, errors)
     if node is None:
         return {}
-    return {"phase_step_count": _int_value(
+    return {"geometry": {"phase_step_count": _int_value(
         node["phase_step_count"], "geometry.phase_step_count", errors,
-        MIN_PHASE_STEPS, MAX_PHASE_STEPS)}
+        MIN_PHASE_STEPS, MAX_PHASE_STEPS)}}
 
 
 def _index_value(node, path: str, errors: list[str], n: int | None) -> int | None:
@@ -544,8 +544,7 @@ def run(config: ScenarioConfig, output_override: str | None = None,
         summary = f"{len(report.pairwise)} pairs"
     elif config.mode == "fringes":
         state = _build_state(config)
-        profile = intensity_profile(
-            state, SlitGeometry(n=state.n, phase_step_count=config.phase_step_count))
+        profile = intensity_profile(state, SlitGeometry(state.n, **(config.geometry or {})))
         chunks = _csv("delta,intensity", profile.delta, profile.intensity)
         summary = f"visibility={_fmt(profile.visibility)}"
     elif config.mode == "meiweitz":
@@ -589,8 +588,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 [f"config declares mode '{config.mode}' but mode "
                  f"'{args.mode}' was given on the command line"])
-        return run(config, output_override=args.output,
-                   validate_only=args.validate_only)
+        target = config.output_path if args.output is None else args.output
+        if not target:
+            raise ConfigError(["--output: expected a non-empty path"])
+        if os.path.exists(target) and os.path.samefile(target, args.config):
+            raise ConfigError([f"output path {target} is the config file itself"])
+        return run(config, output_override=target, validate_only=args.validate_only)
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)

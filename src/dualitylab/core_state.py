@@ -387,9 +387,10 @@ def build_mixed_state(rho, gram) -> InterferometerState:
 
 
 def effective_density(state: InterferometerState) -> np.ndarray:
-    """Entrywise product rho * gram: the detector-traced density matrix
-    whose far-field pattern the fringe simulator renders."""
-    return state.rho * state.gram
+    """Entrywise product rho * gram, the detector-traced density matrix the
+    fringe simulator renders; a non-finite entry gives NaN, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return state.rho * state.gram
 
 
 def validate(state: InterferometerState) -> StateDiagnostics:

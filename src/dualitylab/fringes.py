@@ -14,10 +14,10 @@ period is therefore well defined and, for a two-slit pattern, equals
 
 Samples and extrema both come from the harmonics c_m = sum_{j-k=m} R_jk.
 Samples are one inverse FFT of the harmonics folded onto the grid, exact for
-any sample count.  The extrema are exact: I is evaluated at every critical
-point, found by a real eigensolve along one of two paths chosen per pattern.
-A real pattern (c_-m = c_m, as for real rho and Gram matrices, and for every
-pattern with one harmonic pair once translated) is a Chebyshev series in
+any sample count.  The extrema are exact: a two-slit pattern takes its closed
+form, and any other pattern is evaluated at every critical point, found by a
+real eigensolve along one of two paths chosen per pattern.  A real pattern
+(c_-m = c_m, as for real rho and Gram matrices) is a Chebyshev series in
 x = cos(delta); its critical points are x = +-1 and the roots of dI/dx, the
 eigenvalues of a colleague matrix (J. P. Boyd, SIAM Rev. 55, 2013).  For a
 complex pattern they are the unit-circle roots of z^M I'(z); the Cayley
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _is_integer, _raise_first_failure, \
-    _run_checks, _store_read_only, effective_density
+from .core_state import InterferometerState, _as_complex_matrix, _is_integer, \
+    _raise_first_failure, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -156,10 +156,9 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k, width = harmonics.shape
     n = (width + 1) // 2
     if n == 2:
-        # I = c_0 + 2 |h_1| cos(delta - arg h_1) with h_1 = (c_1 + conj c_-1) / 2,
-        # which is what the path below computes at delta = 0 and pi.  The
-        # eps^2 floor cannot move c_0 +- 2 |h_1| by a rounding step, so it is
-        # not applied.
+        # I = c_0 + 2 |h_1| cos(delta - arg h_1), h_1 = (c_1 + conj c_-1) / 2.
+        # The eps^2 floor cannot move c_0 +- 2 |h_1| by a rounding step, so it
+        # is not applied.
         c0 = harmonics[:, 1].real
         amplitude = np.abs(0.5 * (harmonics[:, 2] + harmonics[:, 0].conj()))
         return c0 + 2.0 * amplitude, c0 - 2.0 * amplitude
@@ -176,11 +175,6 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = np.where(kept, half, 0.0)
     kept[:, 0] = True
     degree = n - 1 - kept[:, ::-1].argmax(axis=1)
-    # A row with one nonzero pair c_(+-M) (every two-slit row) turns real when
-    # translated so that c_M = |c_M|; a translation leaves the extrema alone.
-    single = kept.sum(axis=1) == 2
-    if single.any():
-        half[single, 1:] = np.abs(half[single, 1:])
     real = ~half.imag.any(axis=1)
     all_real = bool(real.all())
     # Candidate angles per row; the zero padding keeps delta = 0 among them.
@@ -292,8 +286,7 @@ def _michelson(i_max, i_min):
 def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
     """Sample count of ``geometry``, which must have ``n`` slits, or of the
     default n-slit geometry when it is None."""
-    if geometry is None:
-        geometry = SlitGeometry(n=n)
+    geometry = SlitGeometry(n=n) if geometry is None else geometry
     if geometry.n != n:
         raise DimensionError(
             f"geometry has {geometry.n} slits but the pattern needs {n}",
@@ -302,6 +295,8 @@ def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
 
 
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
+    # A hand-built state is only shape-checked; NaN or inf must not reach the extrema.
+    matrix = _as_complex_matrix(matrix, "effective state")
     harmonics = _harmonics(matrix[None])
     i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
     delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
@@ -319,8 +314,7 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
 def intensity_profile(state: InterferometerState,
                       geometry: SlitGeometry | None = None) -> FringeProfile:
     """Far-field pattern of the full effective state over one period."""
-    count = _phase_steps(geometry, state.n)
-    return _profile_from_matrix(effective_density(state), count)
+    return _profile_from_matrix(effective_density(state), _phase_steps(geometry, state.n))
 
 
 def extract_visibility(profile: FringeProfile) -> float:

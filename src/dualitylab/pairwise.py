@@ -158,8 +158,9 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     """
     weight = _pair_parts(state, i, j)[-1]
     rho, gram = state.rho, state.gram
-    return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
-                     [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
+                         [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
 
 
 def pair_visibility(state: InterferometerState, i: int, j: int) -> float:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_unit_vectors, _check, _is_integer, _store_read_only
+from .core_state import _as_unit_vectors, _check, _is_integer, _spectra, _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 PRIOR_SUM_TOL = 1e-12
@@ -174,8 +174,8 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
     e2 = a2 * np.outer(u2, u2.conj())
     e_fail = np.eye(2, dtype=complex) - e1 - e2
 
-    for name, element in (("e1", e1), ("e2", e2), ("e_fail", e_fail)):
-        min_eig = float(np.linalg.eigvalsh(0.5 * (element + element.conj().T))[0])
+    for name, eigs in zip(("e1", "e2", "e_fail"), _spectra(e1, e2, e_fail)):
+        min_eig = float(eigs[0])
         _check(min_eig, -POVM_PSD_TOL, "povm_psd",
                lambda: f"POVM element {name} has eigenvalue {min_eig!r}")
     for name, element, coords in (("e1", e1, d2c), ("e2", e2, d1c)):

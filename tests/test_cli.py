@@ -51,17 +51,21 @@ def report_config(tmp_path, out_name="report.json", state=None):
 
 
 class TestParseConfig:
-    def test_minimal_two_slit_config(self):
+    def test_minimal_two_slit_config(self, tmp_path):
         config = parse_config(json.dumps({
             "mode": "fringes",
             "state": {"amplitudes": [0.7071067811865476, 0.7071067811865476],
                       "detectors": [[1, 0], [0.6, 0.8]]},
-            "output": {"format": "csv", "path": "out.csv"},
+            "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
         }))
         assert config.mode == "fringes"
         assert config.state["amplitudes"].shape == (2,)
         assert config.state["detectors"].shape == (2, 2)
-        assert config.phase_step_count == DEFAULT_PHASE_STEPS
+        # No geometry section: SlitGeometry's own default sample count applies.
+        assert config.geometry is None
+        assert cli.run(config) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert len(lines) == 1 + DEFAULT_PHASE_STEPS
 
     def test_huge_integers_are_aggregated_errors(self):
         huge = "1" + "0" * 400
@@ -708,6 +712,37 @@ class TestFlags:
                      "--output", str(override)]) == 0
         assert override.exists()
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_output_that_is_the_config_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                  flags):
+        # Written atomically, the artifact would replace the config in place.
+        monkeypatch.chdir(tmp_path)
+        payload = report_config(tmp_path)
+        payload["output"]["path"] = "scenario.json"
+        config_path = write_config(tmp_path, "scenario.json", payload)
+        before = Path(config_path).read_bytes()
+        for argv, target in ((["--config", "scenario.json"], "scenario.json"),
+                             (["--config", "scenario.json", "--output", config_path],
+                              config_path)):
+            assert main(["report", *argv, *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"config error: output path {target} is the config file itself\n"
+        assert Path(config_path).read_bytes() == before
+
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_empty_output_is_refused(self, tmp_path, capsys, flags):
+        config_path = write_config(tmp_path, "c.json", report_config(tmp_path))
+        assert main(["report", "--config", config_path, "--output", "", *flags]) == 2
+        assert capsys.readouterr() == ("", "config error: --output: expected a non-empty path\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_shipped_configs_write_elsewhere(self):
+        # Run from inside configs/, no shipped config names itself as output.
+        for config_path in CONFIG_DIR.glob("*.json"):
+            target = json.loads(config_path.read_text())["output"]["path"]
+            assert (CONFIG_DIR / target).resolve() != config_path.resolve(), target
 
     def test_main_builds_no_parser(self, tmp_path, monkeypatch):
         # The one parser is built at import; a call only parses with it.

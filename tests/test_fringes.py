@@ -9,6 +9,7 @@ from dualitylab import (
     DarkPatternError,
     DimensionError,
     FringeProfile,
+    InterferometerState,
     SlitGeometry,
     ValidationError,
     build_mixed_state,
@@ -293,7 +294,9 @@ class TestExactExtrema:
 
 class TestTwoSlitExtrema:
     """Two-slit rows take the closed form c_0 +- 2 |h_1|, with
-    h_1 = (c_1 + conj c_-1) / 2, in place of an eigensolve."""
+    h_1 = (c_1 + conj c_-1) / 2, in place of an eigensolve.  A row of more
+    slits with one harmonic pair c_(+-M) has the same extrema c_0 +- 2 |h_M|,
+    which the eigensolves must reach."""
 
     EDGE_ROWS = {
         "zero_c1": [[0.6, 0.0], [0.0, 0.4]],
@@ -319,6 +322,25 @@ class TestTwoSlitExtrema:
             expected = companion_extrema(0.5 * (matrix + matrix.conj().T))
             assert abs(i_max[row] - expected[0]) <= 1e-15, row
             assert abs(i_min[row] - expected[1]) <= 1e-15, row
+
+    def test_one_pair_rows_at_more_slits(self):
+        # The two-slit inputs of the test above, real and complex, moved onto
+        # slits (j, j + M) of n: the row keeps c_0 and gains c_(+-M) alone.
+        rng = np.random.default_rng(337)
+        pairs = np.concatenate([
+            np.array(list(self.EDGE_ROWS.values()), dtype=complex),
+            0.3 * (rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))),
+            0.3 * rng.normal(size=(50, 2, 2))])
+        c0 = pairs[:, 0, 0].real + pairs[:, 1, 1].real
+        amplitude = np.abs(0.5 * (pairs[:, 1, 0] + pairs[:, 0, 1].conj()))
+        for n in range(3, 9):
+            for m in range(1, n):
+                j = n - 1 - m
+                matrices = np.zeros((len(pairs), n, n), dtype=complex)
+                matrices[:, [[j], [j + m]], [j, j + m]] = pairs
+                i_max, i_min = _extrema(_harmonics(matrices))
+                assert np.abs(i_max - (c0 + 2.0 * amplitude)).max() <= 1e-15, (n, m)
+                assert np.abs(i_min - (c0 - 2.0 * amplitude)).max() <= 1e-15, (n, m)
 
     def test_each_row_alone_equals_the_stack(self):
         matrices = np.array(list(self.EDGE_ROWS.values()), dtype=complex)
@@ -349,8 +371,8 @@ class TestCompanionOracle:
     @pytest.mark.parametrize("kind, seed", [("mixed", 443), ("pure", 444), ("real", 445),
                                             ("translated", 446)])
     def test_extrema_match_oracle_and_bound_the_samples(self, kind, seed, monkeypatch):
-        # Real rows take the Chebyshev path, and so do one-pair rows such as
-        # every two-slit one; the other rows take the Cayley path.
+        # Two-slit rows take the closed form, other real rows the Chebyshev
+        # path, and the other rows the Cayley path.
         cayley_rows = []
 
         def counted(half, _original=fringes._cayley_critical):
@@ -396,6 +418,26 @@ class TestExtractVisibility:
         assert abs(extract_visibility(profile) - 0.5) <= 1e-12
         assert abs(profile.i_max - 1.5) <= 1e-12
         assert abs(profile.i_min - 0.5) <= 1e-12
+
+
+class TestNonFiniteInput:
+    """A hand-built state is only shape-checked, so the pattern's own state
+    meets the builders' finiteness rule before any extremum is taken."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_entry_raises(self, n, value):
+        rho = np.full((n, n), 1.0 / n, dtype=complex)
+        rho[0, 1] = value
+        state = InterferometerState(rho, np.ones((n, n)), True)
+        for pattern in (intensity_profile, lambda s: two_slit_pattern(s, 0, 1)):
+            with pytest.raises(ValidationError) as info:
+                pattern(state)
+            assert info.value.check == "finite"
+            assert str(info.value) == "effective state contains non-finite entries"
+        if n == 3:
+            # Pair (0, 2) reads no non-finite entry.
+            assert two_slit_pattern(state, 0, 2).visibility == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTwoSlitOracle:

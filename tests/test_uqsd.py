@@ -153,6 +153,21 @@ class TestBuildPovm:
         with pytest.raises(RegimeError):
             build_povm(problem)
 
+    def test_one_spectral_call(self, spectral_calls):
+        build_povm(UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5))
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
+
+    def test_nan_element_fails_povm_psd(self, monkeypatch):
+        # No valid problem gives a NaN element, so E_fail = I - E1 - E2 is
+        # given a NaN identity.
+        problem = UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5)
+        monkeypatch.setattr(np, "eye", lambda *args, **kwargs: np.full((2, 2), np.nan, complex))
+        with pytest.raises(ValidationError) as info:
+            build_povm(problem)
+        assert info.value.check == "povm_psd"
+        assert str(info.value) == "POVM element e_fail has eigenvalue nan"
+        assert np.isnan(info.value.residual)
+
     def test_povm_invariants_random(self):
         rng = np.random.default_rng(401)
         identity = np.eye(2)
