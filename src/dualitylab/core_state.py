@@ -40,6 +40,7 @@ AMPLITUDE_NORM_TOL = 1e-10
 # Spectral tolerances.
 PSD_TOL = 1e-10          # smallest eigenvalue may not drop below -PSD_TOL
 PURITY_TOL = 1e-10       # rank-one detection: top eigenvalue within this of 1
+_EPS = np.finfo(float).eps  # for the Gram rank rule of _diagnostics
 
 # The structural invariants in report order, each with its tolerance.
 _CHECKS = (
@@ -93,7 +94,7 @@ def _check_shared_dimension(rho: np.ndarray, gram: np.ndarray) -> None:
 def _as_complex_matrix(values, name: str) -> np.ndarray:
     mat = np.asarray(values, dtype=complex)
     _check_square(mat, name)
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
     return mat
 
@@ -103,7 +104,7 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionError(f"{name} must be a non-empty 1-d vector, got shape {vec.shape}",
                              check="vector")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
     return vec
 
@@ -135,6 +136,14 @@ def _store_read_only(instance, dtype, *names: str) -> None:
         object.__setattr__(instance, name, arr)
 
 
+def _record(cls, **fields):
+    """An instance of the dataclass ``cls`` that owns ``fields`` as given:
+    no __init__, so no guarded setattr per frozen field and no copies."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2).conj()
 
@@ -162,6 +171,8 @@ def _spectra(*mats: np.ndarray) -> np.ndarray:
         np.multiply(mat, 0.5, out=half)
         np.conjugate(half.swapaxes(-1, -2), out=out)
         out += half
+    if np.isfinite(hermitian).all():
+        return np.linalg.eigvalsh(hermitian)
     finite = np.isfinite(hermitian).all(axis=(-2, -1))
     hermitian[~finite] = 0.0
     return np.where(finite[..., None], np.linalg.eigvalsh(hermitian), np.nan)
@@ -268,13 +279,14 @@ def _run_checks(rho: np.ndarray,
 def _diagnostics(residuals: np.ndarray, gram_eigs: np.ndarray) -> StateDiagnostics:
     """The record of one state's checks."""
     checks = tuple(
-        CheckResult(name, not failed, residual, tolerance)
+        _record(CheckResult, name=name, passed=not failed, residual=residual,
+                tolerance=tolerance)
         for (name, tolerance), failed, residual
         in zip(_CHECKS, _failed(residuals).tolist(), residuals.tolist()))
     # matrix_rank's rule for Hermitian input: |lambda| > max|lambda| * n * eps,
     # scaled by eps first so a huge max cannot overflow.
     size = np.abs(gram_eigs)
-    rank = int(np.count_nonzero(size > size.max() * np.finfo(float).eps * size.size))
+    rank = int(np.count_nonzero(size > size.max() * _EPS * size.size))
     return StateDiagnostics(checks=checks, gram_rank=rank)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_state import InterferometerState, _as_complex_matrix, _is_integer, \
-    _raise_first_failure, _run_checks, _store_read_only, effective_density
+    _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -305,10 +305,8 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
     # instead of taking the copies FringeProfile(...) makes of its inputs.
     delta.setflags(write=False)
     intensity.setflags(write=False)
-    profile = object.__new__(FringeProfile)
-    profile.__dict__.update(delta=delta, intensity=intensity, i_max=i_max,
-                            i_min=i_min, visibility=_michelson(i_max, i_min))
-    return profile
+    return _record(FringeProfile, delta=delta, intensity=intensity, i_max=i_max,
+                   i_min=i_min, visibility=_michelson(i_max, i_min))
 
 
 def intensity_profile(state: InterferometerState,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,10 +65,13 @@ class DualityReport:
     is_symmetric: bool
 
 
+def _is_symmetric(probs: np.ndarray) -> bool:
+    return bool(np.abs(probs - 1.0 / probs.size).max() <= SYMMETRY_TOL)
+
+
 def is_symmetric(state: InterferometerState) -> bool:
     """True when all path probabilities equal 1/n within SYMMETRY_TOL."""
-    probs = np.diag(state.rho).real
-    return bool(np.max(np.abs(probs - 1.0 / state.n)) <= SYMMETRY_TOL)
+    return _is_symmetric(state.rho.diagonal().real)
 
 
 def _coherence(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -79,7 +83,7 @@ def _coherence(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def _distinguishability(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """D_Q over the leading axes of broadcasting (..., n, n) rho and gram."""
-    probs = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    probs = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
     geo = np.sqrt(probs[..., :, None] * probs[..., None, :]) * np.abs(gram)
     off_diagonal = geo.sum(axis=(-2, -1)) - np.trace(geo, axis1=-2, axis2=-1)
     return 1.0 - off_diagonal / (geo.shape[-1] - 1)
@@ -105,42 +109,44 @@ def _aggregate(table: _PairTable, values: np.ndarray, n: int, symmetric: bool) -
     lit pairs weighted by rho_ii + rho_jj over (n-1)."""
     if symmetric:
         return 2.0 * math.fsum(values.tolist()) / (n * (n - 1))
-    lit = ~table.dark
-    return math.fsum((table.weight[lit] * values[lit]).tolist()) / (n - 1)
+    return math.fsum((table.weight * values).tolist()) / (n - 1)
 
 
 def coherence_from_pair_visibilities(state: InterferometerState) -> float:
     """Aggregate the two-path visibilities back into the n-path coherence."""
-    table = _pair_table(state)
-    return _aggregate(table, table.visibility, state.n, is_symmetric(state))
+    diag = state.rho.diagonal().real
+    table = _pair_table(state, diag)
+    return _aggregate(table, table.visibility, state.n, _is_symmetric(diag))
 
 
 def distinguishability_from_pairs(state: InterferometerState) -> float:
     """Aggregate the two-path distinguishabilities into the n-path D_Q."""
-    table = _pair_table(state)
-    return _aggregate(table, table.distinguishability, state.n, is_symmetric(state))
+    diag = state.rho.diagonal().real
+    table = _pair_table(state, diag)
+    return _aggregate(table, table.distinguishability, state.n, _is_symmetric(diag))
 
 
 def duality_report(state: InterferometerState) -> DualityReport:
     """Evaluate every duality quantity and cross-check the aggregates.
 
-    Every pair number comes from one pair table whose rows run in ascending
-    (i, j) order, and each pair sum is an exactly rounded ``math.fsum``, so
-    the report is deterministic per state.
+    Every pair number comes from one read of the pair table, whose rows run
+    in ascending (i, j) order; its columns are masked down to the lit pairs
+    only when a pair is dark.  Each pair sum is an exactly rounded
+    ``math.fsum``, so the report is deterministic per state.
     """
     n = state.n
-    coh = coherence(state)
-    dist = distinguishability(state)
-    margin = 1.0 - (coh + dist)
-    _check(margin, -DUALITY_TOL, "duality_bound",
-           lambda: f"coherence + distinguishability exceeds 1 by {-margin!r}")
+    # Overflow in a hand-built state gives inf or NaN, which fails a check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coh = float(_coherence(state.rho, state.gram))
+        dist = float(_distinguishability(state.rho, state.gram))
+        margin = 1.0 - (coh + dist)
+        _check(margin, -DUALITY_TOL, "duality_bound",
+               lambda: f"coherence + distinguishability exceeds 1 by {-margin!r}")
+        diag = state.rho.diagonal().real
+        table = _pair_table(state, diag)
+        _check_pairs(*table[:5])
 
-    table = _pair_table(state)
-    lit_mask = ~table.dark
-    lit = table._make(column[lit_mask] for column in table)
-    _check_pairs(lit.i, lit.j, lit.visibility, lit.distinguishability, lit.slack)
-
-    symmetric = is_symmetric(state)
+    symmetric = _is_symmetric(diag)
     for label, direct, values in (("coherence", coh, table.visibility),
                                   ("distinguishability", dist, table.distinguishability)):
         aggregated = _aggregate(table, values, n, symmetric)
@@ -151,11 +157,9 @@ def duality_report(state: InterferometerState) -> DualityReport:
     symmetric_sum = _aggregate(table, both, n, True) if symmetric else None
     weighted_sum = _aggregate(table, both, n, False)
 
-    rows = zip(lit.i.tolist(), lit.j.tolist(), lit.visibility.tolist(),
-               lit.distinguishability.tolist(), lit.slack.tolist(), lit.weight.tolist())
-    dark = zip(table.i[table.dark].tolist(), table.j[table.dark].tolist())
+    rows = zip(*(column.tolist() for column in table[:6]))
     return DualityReport(
         n=n, coherence=coh, distinguishability=dist,
-        pairwise=tuple(map(PairMetrics._make, rows)), dark_pairs=tuple(dark),
-        symmetric_sum_lhs=symmetric_sum, weighted_sum_lhs=weighted_sum,
-        duality_margin=margin, is_symmetric=symmetric)
+        pairwise=tuple(map(partial(tuple.__new__, PairMetrics), rows)),
+        dark_pairs=table.dark, symmetric_sum_lhs=symmetric_sum,
+        weighted_sum_lhs=weighted_sum, duality_margin=margin, is_symmetric=symmetric)

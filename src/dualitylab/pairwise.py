@@ -65,16 +65,16 @@ class PairMetrics(NamedTuple):
 
 
 class _PairTable(NamedTuple):
-    """Every pair i < j in ascending (i, j) order; V, D and slack of rows
-    flagged ``dark`` (weight <= DARK_PAIR_THRESHOLD) are placeholders."""
+    """The PairMetrics columns of every lit pair i < j in ascending (i, j)
+    order, and the (i, j) of each dark pair (weight <= DARK_PAIR_THRESHOLD)."""
 
     i: np.ndarray
     j: np.ndarray
-    weight: np.ndarray
     visibility: np.ndarray
     distinguishability: np.ndarray
     slack: np.ndarray
-    dark: np.ndarray
+    weight: np.ndarray
+    dark: tuple[tuple[int, int], ...]
 
 
 def _pair_values(p_i, p_j, rho_ij, gram_ij, weight):
@@ -120,16 +120,18 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _pair_table(state: InterferometerState) -> _PairTable:
-    """All pair metrics of ``state`` at once, through the same formulas."""
+def _pair_table(state: InterferometerState, diag: np.ndarray) -> _PairTable:
+    """All pair metrics of ``state``, whose real rho diagonal is ``diag``, at
+    once through the same formulas; lit masks are made only if a pair is dark."""
     i, j = _pair_indices(state.n)
-    diag = state.rho.diagonal().real
     probs = np.maximum(diag, 0.0)
     weight = diag[i] + diag[j]
     dark = weight <= DARK_PAIR_THRESHOLD
-    values = _pair_values(probs[i], probs[j], state.rho[i, j], state.gram[i, j],
-                          np.where(dark, 1.0, weight))
-    return _PairTable(i, j, weight, *values, dark)
+    dark_pairs = tuple(zip(i[dark].tolist(), j[dark].tolist())) if dark.any() else ()
+    if dark_pairs:
+        i, j, weight = (column[~dark] for column in (i, j, weight))
+    values = _pair_values(probs[i], probs[j], state.rho[i, j], state.gram[i, j], weight)
+    return _PairTable(i, j, *values, weight, dark_pairs)
 
 
 def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
@@ -137,7 +139,7 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
     leaves tolerance, which means the state escaped validation."""
     closure = visibility + distinguishability + slack - 1.0
     bad = ~((abs(closure) <= IDENTITY_TOL) & (slack >= SLACK_FLOOR))
-    if not np.any(bad):
+    if not bad.any():
         return
     k = np.flatnonzero(bad)[0]
     i, j, closure, slack = (np.ravel(column)[k] for column in (i, j, closure, slack))
@@ -187,7 +189,9 @@ def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
     a violation would mean the input state escaped validation and is
     reported as a ValidationError.
     """
-    parts = _pair_parts(state, i, j)
-    visibility, distinguishability, slack = _pair_values(*parts)
-    _check_pairs(i, j, visibility, distinguishability, slack)
+    # Overflow in a hand-built state gives inf or NaN, which fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _pair_parts(state, i, j)
+        visibility, distinguishability, slack = _pair_values(*parts)
+        _check_pairs(i, j, visibility, distinguishability, slack)
     return PairMetrics(i, j, visibility, distinguishability, slack, parts[-1])

@@ -9,6 +9,8 @@ complex companion matrix of its derivative.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
@@ -66,6 +68,17 @@ def flip_scan_cosine_coefficients(g: float) -> list[float]:
 def flip_scan_visibility(g: float) -> float:
     """Exact full-pattern visibility of the scan configuration above."""
     return michelson(*cosine_series_extrema(flip_scan_cosine_coefficients(g)))
+
+
+def pair_sum_lhs(rows, n: int) -> tuple[float, float]:
+    """A duality report's (symmetric_sum_lhs, weighted_sum_lhs), rebuilt from
+    one ``PairMetrics`` per lit pair in ascending (i, j) order: the plain
+    pair average of D_ij + V_ij, and the sum of (rho_ii + rho_jj)(D_ij + V_ij)
+    over n - 1, each one ``math.fsum``.  The first is the report's value
+    only for a symmetric state."""
+    both = [row.distinguishability + row.visibility for row in rows]
+    weighted = [row.pair_weight * value for row, value in zip(rows, both)]
+    return 2.0 * math.fsum(both) / (n * (n - 1)), math.fsum(weighted) / (n - 1)
 
 
 def circulant_gram(eigenvalues) -> np.ndarray:

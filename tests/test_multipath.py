@@ -32,10 +32,25 @@ from dualitylab.sampling import (
     random_symmetric_pure_state,
 )
 
-from oracles import circulant_gram, random_circulant_gram
+from oracles import circulant_gram, pair_sum_lhs, random_circulant_gram
 
 ISQ3 = 1.0 / np.sqrt(3.0)
 TRINE_DETECTORS = [(1, 0), (0.5, np.sqrt(3) / 2), (0.5, -np.sqrt(3) / 2)]
+STATE_KINDS = ("mixed", "pure", "symmetric", "dark_pair")
+
+
+def state_of_kind(kind: str, n: int, rng) -> InterferometerState:
+    """A random state of ``kind``; a dark_pair state (n >= 4) has paths 0
+    and n - 1 blocked, so its one dark pair is (0, n - 1)."""
+    if kind == "mixed":
+        return random_mixed_state(n, rng)
+    if kind == "pure":
+        return random_pure_state(n, rng)
+    if kind == "symmetric":
+        return random_symmetric_mixed_state(n, rng)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[1:-1, 1:-1] = random_mixed_state(n - 2, rng).rho
+    return build_mixed_state(rho, random_gram(n, rng))
 
 
 class TestDirectFormulas:
@@ -189,6 +204,37 @@ class TestDualityReport:
             n = state.n
             assert len(report.pairwise) + len(report.dark_pairs) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_rows_hold_python_numbers(self, kind):
+        # The CLI's json.dumps rejects numpy integers.
+        rng = np.random.default_rng(1201)
+        for n in (4, 5, 9):
+            report = duality_report(state_of_kind(kind, n, rng))
+            assert report.dark_pairs == (((0, n - 1),) if kind == "dark_pair" else ())
+            for row in report.pairwise:
+                assert [type(value) for value in row] == [int, int] + [float] * 4
+            for pair in report.dark_pairs:
+                assert [type(value) for value in pair] == [int, int]
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_pair_sums_equal_the_one_pair_oracle(self, kind):
+        rng = np.random.default_rng(1202)
+        for n in (4, 5, 9, 16):
+            state = state_of_kind(kind, n, rng)
+            report = duality_report(state)
+            assert report.is_symmetric == (kind == "symmetric")
+            rows = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    try:
+                        rows.append(pair_metrics(state, i, j))
+                    except DarkPairError:
+                        pass
+            symmetric_sum, weighted_sum = pair_sum_lhs(rows, n)
+            assert report.weighted_sum_lhs == weighted_sum
+            assert report.symmetric_sum_lhs == (symmetric_sum if report.is_symmetric
+                                                else None)
+
     def test_negative_slack_is_rejected(self):
         # |rho_01| = 1/2 exceeds sqrt(rho_00 rho_11) = 1/3: a non-PSD minor
         # that only a hand-built state can carry past validation.
@@ -213,6 +259,17 @@ class TestDualityReport:
             duality_report(state)
         assert info.value.check == "duality_bound"
         assert str(info.value) == "coherence + distinguishability exceeds 1 by nan"
+        assert np.isnan(info.value.residual)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_entries_fail_the_duality_bound_without_a_warning(self, n):
+        # Every direct sum overflows to inf - inf = NaN; the suite raises any
+        # RuntimeWarning on the way.
+        state = InterferometerState(rho=np.full((n, n), 1e308), gram=np.ones((n, n)),
+                                    purity_flag=False)
+        with pytest.raises(ValidationError) as info:
+            duality_report(state)
+        assert info.value.check == "duality_bound"
         assert np.isnan(info.value.residual)
 
     def test_duality_bound_is_a_floor(self):

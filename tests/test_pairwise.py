@@ -154,6 +154,22 @@ class TestPairMetrics:
         assert str(info.value) == "pair (0, 1): V + D + slack deviates from 1 by nan"
         assert np.isnan(info.value.residual)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("overlap", [0.5, 0.0])
+    def test_inf_entry_fails_the_identity_without_a_warning(self, n, overlap):
+        # V and slack are inf and -inf (or NaN, against a zero overlap), so
+        # the closure is NaN; the suite raises any RuntimeWarning on the way.
+        off_diagonal = 1.0 - np.eye(n)
+        rho = (np.eye(n) / n + 0.1 * off_diagonal).astype(complex)
+        rho[0, 1] = np.inf
+        gram = (np.eye(n) + overlap * off_diagonal).astype(complex)
+        state = InterferometerState(rho=rho, gram=gram, purity_flag=False)
+        with pytest.raises(ValidationError) as info:
+            pair_metrics(state, 0, 1)
+        assert info.value.check == "pair_identity"
+        assert str(info.value) == "pair (0, 1): V + D + slack deviates from 1 by nan"
+        assert np.isnan(info.value.residual)
+
     def test_nan_gram_diagonal_is_not_read_by_a_pair(self):
         # No pair formula reads gram's diagonal, so the pair's numbers stay
         # those of the valid state; validate() names the broken invariant.
