@@ -109,13 +109,19 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return vec
 
 
+def _quiet(fn):
+    """``fn`` under the overflow rule of hand-built records: overflow and
+    invalid operations give inf or NaN, never a numpy warning.  One errstate
+    per function, since numpy 1.x keeps its saved state on the instance."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+
+@_quiet
 def _as_unit_vectors(values, names, check: str, tolerance: float) -> list[np.ndarray]:
     """Each of ``values`` as a finite, non-empty complex vector of unit norm;
     a norm off by more than ``tolerance`` fails ``check``."""
     vecs = [_as_complex_vector(vec, name) for vec, name in zip(values, names)]
-    # Norms past the float limit overflow to inf, which fails their checks.
-    with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(vec)) for vec in vecs]
+    norms = [float(np.linalg.norm(vec)) for vec in vecs]
     for name, norm in zip(names, norms):
         _check(abs(norm - 1.0), tolerance, check,
                lambda: f"{name} has norm {norm!r}, expected 1", NormalizationError)
@@ -241,6 +247,7 @@ class InterferometerState:
         return _diagnostics(residuals, gram_eigs)
 
 
+@_quiet
 def _run_checks(rho: np.ndarray,
                 gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals of every structural invariant, over stacks of states.
@@ -253,23 +260,19 @@ def _run_checks(rho: np.ndarray,
     gram spectra.
     """
     _check_shared_dimension(rho, gram)
-
-    # Entries near the float limit may overflow a defect or the effective
-    # state to inf or NaN; either fails its check, as it should.
-    with np.errstate(over="ignore", invalid="ignore"):
-        effective = rho * gram
-        if rho.shape == gram.shape:
-            rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
-        else:
-            (rho_eigs,) = _spectra(rho)
-            gram_eigs, effective_eigs = _spectra(*np.broadcast_arrays(gram, effective))
-        columns = (
-            _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
-            _hermiticity_defect(gram),
-            abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1),
-            gram_eigs[..., 0],
-            _trace_defect(effective), effective_eigs[..., 0],
-        )
+    effective = rho * gram
+    if rho.shape == gram.shape:
+        rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
+    else:
+        (rho_eigs,) = _spectra(rho)
+        gram_eigs, effective_eigs = _spectra(*np.broadcast_arrays(gram, effective))
+    columns = (
+        _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
+        _hermiticity_defect(gram),
+        abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1),
+        gram_eigs[..., 0],
+        _trace_defect(effective), effective_eigs[..., 0],
+    )
     residuals = np.empty(effective.shape[:-2] + (len(_CHECKS),))
     for column, values in enumerate(columns):
         residuals[..., column] = values
@@ -317,6 +320,7 @@ def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> Non
            _ERROR_BY_CHECK.get(name, ValidationError))
 
 
+@_quiet
 def build_pure_state(amplitudes, detectors) -> InterferometerState:
     """Build the state of a pure quanton entangled with one detector state
     per path.
@@ -344,9 +348,7 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     n = c.size
     if n < 2:
         raise DimensionError(f"need at least 2 paths, got {n}", check="path_count")
-    # Norms past the float limit overflow to inf, which fails their checks.
-    with np.errstate(over="ignore"):
-        norm2 = float(np.sum(np.abs(c) ** 2))
+    norm2 = float(np.sum(np.abs(c) ** 2))
     _check(abs(norm2 - 1.0), AMPLITUDE_NORM_TOL, "amplitude_norm",
            lambda: f"amplitudes have squared norm {norm2!r}, expected 1",
            NormalizationError)
@@ -398,11 +400,11 @@ def build_mixed_state(rho, gram) -> InterferometerState:
     return state
 
 
+@_quiet
 def effective_density(state: InterferometerState) -> np.ndarray:
     """Entrywise product rho * gram, the detector-traced density matrix the
-    fringe simulator renders; a non-finite entry gives NaN, not a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return state.rho * state.gram
+    fringe simulator renders."""
+    return state.rho * state.gram
 
 
 def validate(state: InterferometerState) -> StateDiagnostics:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _as_complex_matrix, _is_integer, \
+from .core_state import InterferometerState, _as_complex_matrix, _is_integer, _quiet, \
     _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
@@ -295,9 +295,13 @@ def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
 
 
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
-    # A hand-built state is only shape-checked; NaN or inf must not reach the extrema.
-    matrix = _as_complex_matrix(matrix, "effective state")
     harmonics = _harmonics(matrix[None])
+    if not np.isfinite(harmonics).all():
+        # A hand-built state is only shape-checked: a non-finite entry is
+        # named first, else the finite entries overflow the pattern.
+        _as_complex_matrix(matrix, "effective state")
+        raise ValidationError("effective state's pattern overflows the float range",
+                              check="finite")
     i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
     delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     intensity = _sample_pattern(harmonics[0], count)
@@ -309,12 +313,14 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
                    i_min=i_min, visibility=_michelson(i_max, i_min))
 
 
+@_quiet
 def intensity_profile(state: InterferometerState,
                       geometry: SlitGeometry | None = None) -> FringeProfile:
     """Far-field pattern of the full effective state over one period."""
     return _profile_from_matrix(effective_density(state), _phase_steps(geometry, state.n))
 
 
+@_quiet
 def extract_visibility(profile: FringeProfile) -> float:
     """Michelson contrast of the profile's stored extrema.
 
@@ -323,6 +329,7 @@ def extract_visibility(profile: FringeProfile) -> float:
     return _michelson(profile.i_max, profile.i_min)
 
 
+@_quiet
 def two_slit_pattern(state: InterferometerState, i: int, j: int,
                      geometry: SlitGeometry | None = None) -> FringeProfile:
     """Pattern of the renormalized pair state on slit positions 0 and 1.

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .core_state import InterferometerState, _check
+from .core_state import InterferometerState, _check, _quiet
 from .pairwise import PairMetrics, _check_pairs, _pair_table, _PairTable
 
 # Below this deviation of max|rho_ii - 1/n| the state counts as symmetric
@@ -89,11 +89,13 @@ def _distinguishability(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return 1.0 - off_diagonal / (geo.shape[-1] - 1)
 
 
+@_quiet
 def coherence(state: InterferometerState) -> float:
     """Overlap-damped l1 coherence C of the effective state, in [0, 1]."""
     return float(_coherence(state.rho, state.gram))
 
 
+@_quiet
 def distinguishability(state: InterferometerState) -> float:
     """n-path distinguishability D_Q, in [0, 1].
 
@@ -112,6 +114,7 @@ def _aggregate(table: _PairTable, values: np.ndarray, n: int, symmetric: bool) -
     return math.fsum((table.weight * values).tolist()) / (n - 1)
 
 
+@_quiet
 def coherence_from_pair_visibilities(state: InterferometerState) -> float:
     """Aggregate the two-path visibilities back into the n-path coherence."""
     diag = state.rho.diagonal().real
@@ -119,6 +122,7 @@ def coherence_from_pair_visibilities(state: InterferometerState) -> float:
     return _aggregate(table, table.visibility, state.n, _is_symmetric(diag))
 
 
+@_quiet
 def distinguishability_from_pairs(state: InterferometerState) -> float:
     """Aggregate the two-path distinguishabilities into the n-path D_Q."""
     diag = state.rho.diagonal().real
@@ -126,6 +130,7 @@ def distinguishability_from_pairs(state: InterferometerState) -> float:
     return _aggregate(table, table.distinguishability, state.n, _is_symmetric(diag))
 
 
+@_quiet
 def duality_report(state: InterferometerState) -> DualityReport:
     """Evaluate every duality quantity and cross-check the aggregates.
 
@@ -135,16 +140,14 @@ def duality_report(state: InterferometerState) -> DualityReport:
     ``math.fsum``, so the report is deterministic per state.
     """
     n = state.n
-    # Overflow in a hand-built state gives inf or NaN, which fails a check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coh = float(_coherence(state.rho, state.gram))
-        dist = float(_distinguishability(state.rho, state.gram))
-        margin = 1.0 - (coh + dist)
-        _check(margin, -DUALITY_TOL, "duality_bound",
-               lambda: f"coherence + distinguishability exceeds 1 by {-margin!r}")
-        diag = state.rho.diagonal().real
-        table = _pair_table(state, diag)
-        _check_pairs(*table[:5])
+    coh = float(_coherence(state.rho, state.gram))
+    dist = float(_distinguishability(state.rho, state.gram))
+    margin = 1.0 - (coh + dist)
+    _check(margin, -DUALITY_TOL, "duality_bound",
+           lambda: f"coherence + distinguishability exceeds 1 by {-margin!r}")
+    diag = state.rho.diagonal().real
+    table = _pair_table(state, diag)
+    _check_pairs(*table[:5])
 
     symmetric = _is_symmetric(diag)
     for label, direct, values in (("coherence", coh, table.visibility),

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import InterferometerState, _check, _is_integer
-from .errors import DarkPairError
+from .core_state import InterferometerState, _check, _is_integer, _quiet
+from .errors import DarkPairError, ValidationError
 
 # Below this total pair probability the 2x2 renormalization is numerically
 # meaningless.
@@ -149,6 +149,7 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
            lambda: f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor")
 
 
+@_quiet
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     """Renormalized 2x2 state of paths (i, j) with all other paths blocked.
 
@@ -156,20 +157,25 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     folded into the off-diagonal, so its fringe pattern is directly
     comparable with the full simulation.
 
-    Raises DarkPairError when rho_ii + rho_jj is numerically zero.
+    Raises DarkPairError when rho_ii + rho_jj is numerically zero, and
+    ValidationError (check ``finite``) when it is not finite.
     """
     weight = _pair_parts(state, i, j)[-1]
+    if not np.isfinite(weight):
+        raise ValidationError(f"paths ({i}, {j}) carry non-finite total probability "
+                              f"{float(weight)!r}", check="finite")
     rho, gram = state.rho, state.gram
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
-                         [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
+    return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
+                     [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
 
 
+@_quiet
 def pair_visibility(state: InterferometerState, i: int, j: int) -> float:
     """Fringe visibility of the two-path pattern from paths (i, j)."""
     return _pair_values(*_pair_parts(state, i, j))[0]
 
 
+@_quiet
 def pair_distinguishability(state: InterferometerState, i: int, j: int) -> float:
     """IDP probability of unambiguously telling path i from path j.
 
@@ -182,6 +188,7 @@ def pair_distinguishability(state: InterferometerState, i: int, j: int) -> float
     return _pair_values(*_pair_parts(state, i, j))[1]
 
 
+@_quiet
 def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
     """Full metric bundle for one pair, with the closure identity checked.
 
@@ -189,9 +196,7 @@ def pair_metrics(state: InterferometerState, i: int, j: int) -> PairMetrics:
     a violation would mean the input state escaped validation and is
     reported as a ValidationError.
     """
-    # Overflow in a hand-built state gives inf or NaN, which fails the check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = _pair_parts(state, i, j)
-        visibility, distinguishability, slack = _pair_values(*parts)
-        _check_pairs(i, j, visibility, distinguishability, slack)
+    parts = _pair_parts(state, i, j)
+    visibility, distinguishability, slack = _pair_values(*parts)
+    _check_pairs(i, j, visibility, distinguishability, slack)
     return PairMetrics(i, j, visibility, distinguishability, slack, parts[-1])

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_unit_vectors, _check, _is_integer, _spectra, _store_read_only
+from .core_state import _as_unit_vectors, _check, _is_integer, _quiet, _spectra, \
+    _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 PRIOR_SUM_TOL = 1e-12
@@ -236,6 +237,7 @@ def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
     return probs / rows[:, None]
 
 
+@_quiet
 def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
              seed: int) -> SimulationResult:
     """Draw the d1 count by the prior, then each state's outcome counts by its
