@@ -111,8 +111,9 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
 
 def _quiet(fn):
     """``fn`` under the overflow rule of hand-built records: overflow and
-    invalid operations give inf or NaN, never a numpy warning.  One errstate
-    per function, since numpy 1.x keeps its saved state on the instance."""
+    invalid operations give inf or NaN, never a numpy warning.  numpy >= 2
+    sets and resets the error state per call, so concurrent calls of ``fn``
+    cannot restore each other's state (numpy 1.x saved it on the instance)."""
     return np.errstate(over="ignore", invalid="ignore")(fn)
 
 

@@ -9,6 +9,8 @@ error state as it found it.
 
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -151,6 +153,35 @@ def test_call_overrides_and_restores_the_callers_error_state(build, n, call, exp
         before = np.geterr()
         _assert_outcome(call, build(n), expected)
         assert np.geterr() == before
+
+
+def test_concurrent_calls_keep_each_threads_error_state():
+    # Each thread holds its own error state while all call one guarded
+    # function; no call may restore another thread's state into its own.
+    settings = [dict(over=over, invalid=invalid, divide="ignore", under="ignore")
+                for over in ("warn", "raise") for invalid in ("warn", "raise")]
+    state = overflowing(3)
+    start = threading.Barrier(len(settings))
+    seen = []
+
+    def run(setting):
+        with np.errstate(**setting):
+            start.wait()
+            for _ in range(1000):
+                dualitylab.coherence(state)
+                seen.append(np.geterr() == setting)
+
+    threads = [threading.Thread(target=run, args=(setting,)) for setting in settings]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside calls, not between them
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 1000 * len(settings) and all(seen)
 
 
 DECORATED = [
