@@ -169,6 +169,12 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # overflow the matrices below, so they count as zero.  Each row is cut to
     # its own highest harmonic M, since outer harmonics can vanish (the
     # scan's at g = 0); dividing by a zero leading coefficient would give inf.
+    # Each row is first divided by a power of two, which is exact, taken from
+    # its largest real or imaginary part (a modulus can overflow where both
+    # are finite), so no sum below overflows; a trace-one row's scale is 1 or 1/2.
+    top = np.maximum(np.abs(harmonics.real), np.abs(harmonics.imag)).max(axis=1)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
+    harmonics = harmonics / scale[:, None]
     half = 0.5 * (harmonics[:, n - 1:] + harmonics[:, n - 1::-1].conj())
     magnitude = np.abs(half)
     kept = magnitude > NEGLIGIBLE_HARMONIC * magnitude.max(axis=1, keepdims=True)
@@ -191,7 +197,7 @@ def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not all_real:
         series -= np.sin(phase) @ half[:, 1:, None].imag
     values = half[:, :1].real + 2.0 * series[..., 0]
-    return values.max(axis=1), values.min(axis=1)
+    return values.max(axis=1) * scale, values.min(axis=1) * scale
 
 
 def _chebyshev_critical(half: np.ndarray) -> np.ndarray:
@@ -296,13 +302,15 @@ def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
 
 def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
     harmonics = _harmonics(matrix[None])
-    if not np.isfinite(harmonics).all():
+    finite = np.isfinite(harmonics).all()
+    if finite:
+        i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
+    if not (finite and math.isfinite(i_max - i_min)):
         # A hand-built state is only shape-checked: a non-finite entry is
         # named first, else the finite entries overflow the pattern.
         _as_complex_matrix(matrix, "effective state")
         raise ValidationError("effective state's pattern overflows the float range",
                               check="finite")
-    i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
     delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     intensity = _sample_pattern(harmonics[0], count)
     # Nothing else holds these new arrays, so the profile owns them read-only

@@ -37,7 +37,6 @@ from .errors import DimensionError, NormalizationError, RegimeError, ValidationE
 PRIOR_SUM_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
 POVM_PSD_TOL = 1e-10
-UNAMBIGUITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 # Born probabilities below this are exact zeros of the construction polluted
 # by rounding; they are clamped to 0 before sampling so that structurally
@@ -132,24 +131,20 @@ def success_probability(p1: float, p2: float,
     return SuccessProbability(value=value, in_optimal_regime=bool(regime))
 
 
-def _span_coordinates(problem: UqsdProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram-Schmidt basis of span{d1, d2} plus both states' coordinates."""
+def _span_coordinates(problem: UqsdProblem) -> tuple[np.ndarray, complex, float]:
+    """Gram-Schmidt basis of span{d1, d2} plus d2's coordinates (omega, t)."""
     omega = problem.overlap
-    b1 = problem.d1
-    residual = problem.d2 - omega * b1
+    residual = problem.d2 - omega * problem.d1
     t = float(np.linalg.norm(residual))
-    b2 = residual / t
-    basis = np.vstack([b1, b2])
-    d1c = np.array([1.0, 0.0], dtype=complex)
-    d2c = np.array([omega, t], dtype=complex)
-    return basis, d1c, d2c
+    return np.vstack([problem.d1, residual / t]), omega, t
 
 
 def build_povm(problem: UqsdProblem) -> UqsdPovm:
     """Construct the optimal unambiguous-discrimination POVM.
 
     Raises RegimeError outside the optimal regime, where the minimal-failure
-    bound is not attainable by any valid POVM.
+    bound is not attainable by any valid POVM.  The POVM has passed the Born
+    checks ``simulate`` runs, and its success the analytic value, when returned.
     """
     s = abs(problem.overlap)
     analytic = success_probability(problem.p1, problem.p2, s)
@@ -159,18 +154,19 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
             f"({problem.p1}, {problem.p2}); the minimal-failure POVM does not "
             "exist there")
 
-    basis, d1c, d2c = _span_coordinates(problem)
-    omega, t = d2c[0], d2c[1].real
+    basis, omega, t = _span_coordinates(problem)
     if s == 0.0:
         a1 = a2 = 1.0
     else:
-        a1 = (1.0 - math.sqrt(problem.p2 / problem.p1) * s) / (1.0 - s * s)
-        a2 = (1.0 - math.sqrt(problem.p1 / problem.p2) * s) / (1.0 - s * s)
-    a1 = max(a1, 0.0)
-    a2 = max(a2, 0.0)
+        # 1 - s and p1 - p2 are exact where 1 - s * s and 1 - sqrt(p2/p1) s cancel.
+        q1, q2 = math.sqrt(problem.p1), math.sqrt(problem.p2)
+        skew = (problem.p1 - problem.p2) / (q1 + q2)  # q1 - q2
+        a1 = (skew + q2 * (1.0 - s)) / (q1 * (1.0 - s) * (1.0 + s))
+        a2 = (q1 * (1.0 - s) - skew) / (q2 * (1.0 - s) * (1.0 + s))
+    a1, a2 = max(a1, 0.0), max(a2, 0.0)
 
-    u1 = np.array([t, -np.conj(omega)], dtype=complex)   # exactly _|_ d2c
-    u2 = np.array([0.0, 1.0], dtype=complex)             # exactly _|_ d1c
+    u1 = np.array([t, -np.conj(omega)], dtype=complex)   # exactly _|_ (omega, t)
+    u2 = np.array([0.0, 1.0], dtype=complex)             # exactly _|_ (1, 0)
     e1 = a1 * np.outer(u1, u1.conj())
     e2 = a2 * np.outer(u2, u2.conj())
     e_fail = np.eye(2, dtype=complex) - e1 - e2
@@ -179,18 +175,13 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
         min_eig = float(eigs[0])
         _check(min_eig, -POVM_PSD_TOL, "povm_psd",
                lambda: f"POVM element {name} has eigenvalue {min_eig!r}")
-    for name, element, coords in (("e1", e1, d2c), ("e2", e2, d1c)):
-        leak = float(np.vdot(coords, element @ coords).real)
-        _check(abs(leak), UNAMBIGUITY_TOL, "povm_unambiguity",
-               lambda: f"POVM element {name} leaks probability {leak!r} onto the "
-                       "forbidden state")
-    success = (problem.p1 * float(np.vdot(d1c, e1 @ d1c).real)
-               + problem.p2 * float(np.vdot(d2c, e2 @ d2c).real))
+    povm = UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis)
+    probs = _born_probabilities(problem, povm)
+    success = float(problem.p1 * probs[0, 0] + problem.p2 * probs[1, 1])
     _check(abs(success - analytic.value), COMPLETENESS_TOL, "povm_success",
            lambda: f"POVM success probability {success!r} deviates from the "
                    f"analytic value {analytic.value!r}")
-
-    return UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis)
+    return povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +209,8 @@ class SimulationResult:
 def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
     """(2, 3) matrix of outcome probabilities (E1, E2, fail) per state."""
     coords = povm.basis.conj() @ np.vstack([problem.d1, problem.d2]).T  # (2, 2)
-    probs = np.empty((2, 3), dtype=float)
-    for k in range(2):
-        vec = coords[:, k]
-        for m, element in enumerate((povm.e1, povm.e2, povm.e_fail)):
-            probs[k, m] = float(np.vdot(vec, element @ vec).real)
+    probs = np.array([[np.vdot(vec, element @ vec).real
+                       for element in (povm.e1, povm.e2, povm.e_fail)] for vec in coords.T])
     _check(float(probs.min()), -POVM_PSD_TOL, "born_probability",
            lambda: f"negative Born probability {probs.min()!r}; POVM is invalid")
     # A POVM built for other states can name the wrong one.
@@ -256,9 +244,8 @@ def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
     rng = np.random.default_rng(seed)
     on_d1 = int(rng.binomial(trials, problem.p1))
     # (E1, E2, fail) outcome counts on d1, then on d2.
-    (right_1, wrong_1, fail_1), (wrong_2, right_2, fail_2) = (
-        rng.multinomial(count, row).tolist()
-        for count, row in zip((on_d1, trials - on_d1), probs))
+    (right_1, wrong_1, fail_1), (wrong_2, right_2, fail_2) = rng.multinomial(
+        [on_d1, trials - on_d1], probs).tolist()
     return SimulationResult(
         trials=int(trials), seed=int(seed),
         freq_correct_1=right_1 / trials, freq_correct_2=right_2 / trials,

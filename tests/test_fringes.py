@@ -552,6 +552,9 @@ class TestMeiWeitzScan:
             mei_weitz_scan(4, 0, [1], [1.5])
         with pytest.raises(ValueError):
             mei_weitz_scan(4, 0, [1], [float("nan")])
+        for grid in ([], [[0.5]]):
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                mei_weitz_scan(4, 0, [1], grid)
         # The scan takes no geometry: it samples no pattern.
         with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))

@@ -155,6 +155,44 @@ def test_call_overrides_and_restores_the_callers_error_state(build, n, call, exp
         assert np.geterr() == before
 
 
+def _corner_rho():
+    """rho[2, 0] = 1.5e308 (1 + i): each part of the harmonic c_2 is finite,
+    its modulus and the pattern's maximum are not."""
+    rho = np.full((3, 3), 0.1, dtype=complex)
+    rho[2, 0] = 1.5e308 + 1.5e308j
+    return rho
+
+
+# Against a Gram matrix of ones.  With every rho entry v the harmonics
+# (n - |m|) v are finite and the pattern's maximum n^2 v overflows at n = 2
+# and 3 and fits at n = 4; None marks an overflow.
+PATTERNS = [
+    pytest.param(np.full((2, 2), 5e307), None, id="n2-5e307"),
+    pytest.param(np.full((3, 3), 5e307), None, id="n3-5e307"),
+    pytest.param(_corner_rho(), None, id="n3-complex-corner"),
+    pytest.param(np.full((4, 4), 1e307), (16 * 1e307, 0.0, 1.0), id="n4-1e307"),
+]
+
+
+@pytest.mark.parametrize("caller", [{}, {"over": "raise", "invalid": "raise"}],
+                         ids=["default", "raising_caller"])
+@pytest.mark.parametrize("rho, extrema", PATTERNS)
+def test_pattern_extrema_are_exact_or_named_as_overflow(rho, extrema, caller):
+    state = InterferometerState(rho, np.ones(rho.shape), False)
+    with np.errstate(**caller):
+        before = np.geterr()
+        if extrema is None:
+            with pytest.raises(ValidationError) as info:
+                dualitylab.intensity_profile(state)
+            assert info.value.check == "finite"
+            assert str(info.value) == "effective state's pattern overflows the float range"
+        else:
+            profile = dualitylab.intensity_profile(state)
+            assert (profile.i_max, profile.i_min, profile.visibility) == extrema
+            assert np.isfinite(profile.intensity).all()
+        assert np.geterr() == before
+
+
 def test_concurrent_calls_keep_each_threads_error_state():
     # Each thread holds its own error state while all call one guarded
     # function; no call may restore another thread's state into its own.

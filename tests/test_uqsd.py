@@ -17,7 +17,7 @@ from dualitylab import (
     success_probability,
 )
 from dualitylab.sampling import random_detectors
-from dualitylab.uqsd import MAX_TRIALS
+from dualitylab.uqsd import MAX_TRIALS, _born_probabilities
 
 D60 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)  # overlap 1/2 with e1
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -147,6 +147,29 @@ class TestBuildPovm:
         assert success_2 == pytest.approx(0.0, abs=2e-6)
         assert fail_1 == pytest.approx(1.0, abs=2e-6)
 
+    @pytest.mark.parametrize("k", range(5, 12))
+    @pytest.mark.parametrize("where", [None, 0.1, 0.9], ids=["equal", "near_edge", "skewed"])
+    def test_nearly_identical_states(self, k, where):
+        # 1 - s * s and 1 - sqrt(p2/p1) s cancel as s -> 1; a POVM element
+        # then read as negative and failed povm_psd.  ``where`` places p1
+        # between the regime's edge (0) and equal priors (1); None is 1/2.
+        s = 1.0 - 10.0 ** -k
+        low = s * s / (1.0 + s * s)
+        p1 = 0.5 if where is None else low + (0.5 - low) * where
+        problem = UqsdProblem(d1=E1, d2=np.array([s, np.sqrt(1.0 - s * s)]),
+                              p1=p1, p2=1.0 - p1)
+        povm = build_povm(problem)
+        for element in (povm.e1, povm.e2, povm.e_fail):
+            assert np.linalg.eigvalsh(element)[0] >= -1e-14
+        probs = _born_probabilities(problem, povm)
+        assert probs[0, 1] == probs[1, 0] == 0.0
+        success = p1 * probs[0, 0] + (1.0 - p1) * probs[1, 1]
+        assert success == pytest.approx(1.0 - 2.0 * np.sqrt(p1 * (1.0 - p1)) * s, abs=1e-12)
+        if where is None:
+            # Each state is identified with probability 1 - s.
+            assert probs[0, 0] == pytest.approx(1.0 - s, rel=1e-6)
+            assert probs[1, 1] == pytest.approx(1.0 - s, rel=1e-6)
+
     def test_out_of_regime_raises(self):
         problem = UqsdProblem(d1=E1, d2=D60, p1=0.95, p2=0.05)
         assert not success_probability(0.95, 0.05, 0.5).in_optimal_regime
@@ -270,6 +293,34 @@ class TestSimulate:
         assert result.success_frequency == pytest.approx(0.5, abs=1e-6)
         with pytest.raises(ValueError):
             simulate(problem, povm, MAX_TRIALS + 1, seed=3)
+
+
+def reference_draw(problem, povm, trials, seed):
+    """Counts drawn one call per state: the d1 count, then (E1, E2, fail) on
+    d1 and on d2."""
+    probs = _born_probabilities(problem, povm)
+    rng = np.random.default_rng(seed)
+    on_d1 = int(rng.binomial(trials, problem.p1))
+    return [rng.multinomial(count, row).tolist()
+            for count, row in zip((on_d1, trials - on_d1), probs)]
+
+
+@pytest.mark.parametrize("trials", [1, 10, 10**6, MAX_TRIALS])
+def test_sampler_matches_one_draw_per_state(trials):
+    rng = np.random.default_rng(437)
+    problems = [UqsdProblem(d1=E1, d2=D60, p1=0.5, p2=0.5),
+                UqsdProblem(d1=E1, d2=E2, p1=0.3, p2=0.7),
+                *(random_problem(rng) for _ in range(3))]
+    for problem in problems:
+        povm = build_povm(problem)
+        for seed in range(200):
+            (right_1, wrong_1, fail_1), (wrong_2, right_2, fail_2) = \
+                reference_draw(problem, povm, trials, seed)
+            result = simulate(problem, povm, trials, seed)
+            assert (result.freq_correct_1, result.freq_correct_2, result.freq_fail,
+                    result.freq_wrong) == (right_1 / trials, right_2 / trials,
+                                           (fail_1 + fail_2) / trials,
+                                           (wrong_1 + wrong_2) / trials)
 
 
 class TestConsistencyWithPairMetrics:
