@@ -63,8 +63,8 @@ MODES = tuple(_MODE_TABLE)
 FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
 # Paths in a `state` section.  At this cap (a 6 MiB config) the slowest state
 # modes take about 2 s on a 2-core x86 host: `fringes` on a mixed state at
-# MAX_PHASE_STEPS peaks at about 106 MiB, and `report` at about 180 MiB,
-# mostly JSON handling of the config and its echo.
+# MAX_PHASE_STEPS peaks at about 106 MiB, and `report` at about 110 MiB,
+# mostly the parsed config, its echo and the 11 MB artifact text.
 MAX_STATE_PATHS = 256
 
 
@@ -358,8 +358,12 @@ class ReportDocument:
 
 
 def _json(document: dict) -> str:
-    """A JSON artifact: indented, keys sorted, newline-terminated."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """A JSON artifact: one line, keys sorted, newline-terminated.
+
+    Without ``indent`` the stdlib runs its C encoder; ``python -m json.tool``
+    pretty-prints the artifact.
+    """
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 # 17 significant digits, so every double round-trips; path labels print as

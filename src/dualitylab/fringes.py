@@ -383,7 +383,8 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     checked once per block, and the Gram matrices, effective states and
     extrema of a block are each solved in one pass.  A grid may hold at most
     MAX_SCAN_POINTS values.  ``n``, ``flipped_path`` and every decohered path
-    must be an integer (numpy integers included), or TypeError is raised.
+    must be an integer (numpy integers included), or TypeError is raised; a
+    repeated decohered path raises ValueError.
     """
     paths = list(decohered_paths)
     for name, value in [("n", n), ("flipped_path", flipped_path),
@@ -395,9 +396,10 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
                              check="path_count")
     if not (0 <= flipped_path < n):
         raise IndexError(f"flipped_path {flipped_path} out of range for {n} paths")
-    decohered = tuple(sorted(set(int(p) for p in paths)))
-    if not decohered:
-        raise ValueError("decohered_paths must be a non-empty subset")
+    decohered = tuple(sorted(int(p) for p in paths))
+    if not decohered or len(set(decohered)) < len(decohered):
+        raise ValueError("decohered_paths must be a non-empty subset of distinct "
+                         f"paths, got {list(decohered)}")
     if any(p < 0 or p >= n for p in decohered):
         raise IndexError(f"decohered_paths {decohered} out of range for {n} paths")
     grid = np.asarray(gamma_grid, dtype=float)

@@ -270,10 +270,30 @@ class TestReportMode:
             config, build_mixed_state(**config.state))
         assert document.duality["dark_pairs"] == [[2, 3]]
         text = document.to_json()
-        assert text == json.dumps(dataclasses.asdict(document), indent=2,
-                                  sort_keys=True) + "\n"
+        assert text == json.dumps(dataclasses.asdict(document), sort_keys=True) + "\n"
         assert ReportDocument.from_json(text) == document
         assert ReportDocument.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("mode", ["report", "uqsd"])
+    def test_json_artifact_is_one_sorted_line(self, tmp_path, monkeypatch, mode):
+        # The stdlib's C encoder writes the artifact: no indent, keys sorted,
+        # one trailing newline.  It loads back to the document the mode built.
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        payload = report_config(tmp_path, out_name="out.json") if mode == "report" else {
+            "mode": "uqsd",
+            "uqsd": {"d1": [1, 0], "d2": [0.5, B], "p1": 0.4, "trials": 1000, "seed": 5},
+            "output": {"format": "json", "path": str(tmp_path / "out.json")},
+        }
+        config_path = write_config(tmp_path, "c.json", payload)
+        assert main([mode, "--config", config_path]) == 0
+        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        config = parse_config(json.dumps(payload))
+        document = (dataclasses.asdict(build_report_document(
+                        config, build_pure_state(**config.state)))
+                    if mode == "report" else cli.build_uqsd_document(config))
+        assert json.loads(text) == document
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_orthogonal_detector_report(self, tmp_path):
         state = {"amplitudes": [A3, A3, A3],

@@ -546,6 +546,10 @@ class TestMeiWeitzScan:
             mei_weitz_scan(4, 4, [0], [0.5])
         with pytest.raises(ValueError):
             mei_weitz_scan(4, 0, [], [0.5])
+        # A repeated path is not a subset: the scan refuses it, as the CLI does.
+        for paths in ([3, 3], [1, 3, 1]):
+            with pytest.raises(ValueError, match="distinct paths"):
+                mei_weitz_scan(4, 3, paths, [0.5])
         with pytest.raises(IndexError):
             mei_weitz_scan(4, 0, [5], [0.5])
         with pytest.raises(ValueError):

@@ -193,6 +193,23 @@ def test_pattern_extrema_are_exact_or_named_as_overflow(rho, extrema, caller):
         assert np.geterr() == before
 
 
+def test_dark_pair_coherence_fails_the_aggregation_check():
+    # Paths 0 and 1 carry no probability, yet rho_01 = 0.01.  The direct C
+    # counts 2 |rho_01| / (n - 1) for that pair; the pair aggregate drops the
+    # dark pair, so the two differ by exactly that term.
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[2, 2] = rho[3, 3] = 0.5
+    rho[2, 3] = rho[3, 2] = 0.25
+    rho[0, 1] = rho[1, 0] = 0.01
+    state = InterferometerState(rho, np.ones((4, 4)), False)
+    with pytest.raises(ValidationError) as info:
+        dualitylab.duality_report(state)
+    assert info.value.check == "coherence_aggregation"
+    assert info.value.residual == pytest.approx(0.02 / 3, rel=1e-12)
+    assert info.value.tolerance == multipath.AGGREGATION_TOL
+    assert str(info.value).startswith("pairwise-aggregated coherence ")
+
+
 def test_concurrent_calls_keep_each_threads_error_state():
     # Each thread holds its own error state while all call one guarded
     # function; no call may restore another thread's state into its own.
