@@ -63,7 +63,7 @@ MODES = tuple(_MODE_TABLE)
 FORMAT_BY_MODE = {mode: spec.format for mode, spec in _MODE_TABLE.items()}
 # Paths in a `state` section.  At this cap (a 6 MiB config) the slowest state
 # modes take about 2 s on a 2-core x86 host: `fringes` on a mixed state at
-# MAX_PHASE_STEPS peaks at about 106 MiB, and `report` at about 110 MiB,
+# MAX_PHASE_STEPS peaks at about 98 MiB, and `report` at about 110 MiB,
 # mostly the parsed config, its echo and the 11 MB artifact text.
 MAX_STATE_PATHS = 256
 
@@ -431,18 +431,20 @@ def build_report_document(config: ScenarioConfig,
         timestamp=_timestamp())
 
 
-# Rows per formatted chunk of a CSV table: the rows are formatted, and
-# written, one chunk at a time, so no table's whole text is held at once.
+# Rows per formatted chunk of a CSV table: the rows are stacked, formatted
+# and written one chunk at a time, so neither a table's whole text nor a
+# stacked copy of its columns is held at once.
 _CSV_CHUNK_ROWS = 4096
 
 
 def _csv(header: str, *columns):
-    """The table of the given columns under the header, as text chunks."""
-    table = np.column_stack(columns)
+    """The table of the given equal-length columns under the header, as text
+    chunks."""
     line = ",".join([_NUMBER] * len(columns)) + "\n"
     yield header + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start:start + _CSV_CHUNK_ROWS]
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = np.column_stack([column[start:start + _CSV_CHUNK_ROWS]
+                                 for column in columns])
         yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 

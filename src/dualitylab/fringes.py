@@ -46,11 +46,11 @@ from .core_state import InterferometerState, _as_complex_matrix, _is_integer, _q
     _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
-from .pairwise import open_pair
+from .pairwise import _pair_weight, pair_entries
 
 DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
-# Bounds the half-length complex spectrum of one profile at 8 MiB.
+# Bounds each of a profile's two arrays, and the transform's scratch, at 8 MiB.
 MAX_PHASE_STEPS = 2**20
 # One scan point costs about n^3 once n is large (the scan's patterns are
 # real, so this is the colleague eigensolve of degree n - 2 plus the checks'
@@ -141,13 +141,14 @@ def _harmonics(stack: np.ndarray) -> np.ndarray:
 def _sample_pattern(harmonics: np.ndarray, count: int) -> np.ndarray:
     """I at delta = 2 pi a / count, with aliased harmonics folded in."""
     n = (harmonics.size + 1) // 2
-    # The folded spectrum is Hermitian, so its real inverse is the pattern,
-    # and only the bins irfft reads, 0..count // 2, are filled.
+    # The folded spectrum is Hermitian, so its real inverse is the pattern.
+    # Only the bins irfft reads, 0..count // 2, are folded, into at most n
+    # entries, which irfft pads with zeros.
     bins = np.arange(1 - n, n) % count
     read = bins <= count // 2
-    spectrum = np.zeros(count // 2 + 1, dtype=complex)
-    np.add.at(spectrum, bins[read], harmonics[read])
-    return np.fft.irfft(spectrum, count, norm="forward")
+    bins, kept = bins[read], harmonics[read]
+    folded = np.bincount(bins, kept.real) + 1j * np.bincount(bins, kept.imag)
+    return np.fft.irfft(folded, count, norm="forward")
 
 
 def _extrema(harmonics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +301,9 @@ def _phase_steps(geometry: SlitGeometry | None, n: int) -> int:
     return geometry.phase_step_count
 
 
-def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
-    harmonics = _harmonics(matrix[None])
+def _profile(harmonics: np.ndarray, count: int, matrix: np.ndarray) -> FringeProfile:
+    """The profile of the (1, 2n-1) harmonics of the effective state
+    ``matrix``, which is read only to name a non-finite pattern."""
     finite = np.isfinite(harmonics).all()
     if finite:
         i_max, i_min = (float(value[0]) for value in _extrema(harmonics))
@@ -311,8 +313,9 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
         _as_complex_matrix(matrix, "effective state")
         raise ValidationError("effective state's pattern overflows the float range",
                               check="finite")
-    delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     intensity = _sample_pattern(harmonics[0], count)
+    # Made after the transform, so the grid can take its freed scratch.
+    delta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     # Nothing else holds these new arrays, so the profile owns them read-only
     # instead of taking the copies FringeProfile(...) makes of its inputs.
     delta.setflags(write=False)
@@ -325,7 +328,8 @@ def _profile_from_matrix(matrix: np.ndarray, count: int) -> FringeProfile:
 def intensity_profile(state: InterferometerState,
                       geometry: SlitGeometry | None = None) -> FringeProfile:
     """Far-field pattern of the full effective state over one period."""
-    return _profile_from_matrix(effective_density(state), _phase_steps(geometry, state.n))
+    matrix = effective_density(state)
+    return _profile(_harmonics(matrix[None]), _phase_steps(geometry, state.n), matrix)
 
 
 @_quiet
@@ -343,10 +347,12 @@ def two_slit_pattern(state: InterferometerState, i: int, j: int,
     """Pattern of the renormalized pair state on slit positions 0 and 1.
 
     The visibility of this profile equals the closed-form pair visibility
-    2 |R_01| to rounding.
+    2 |R_01| to rounding.  Raises as ``open_pair`` does.
     """
     count = _phase_steps(geometry, 2)
-    return _profile_from_matrix(open_pair(state, i, j), count)
+    entries = pair_entries(state, i, j, _pair_weight(state, i, j))
+    r00, r01, r10, r11 = entries
+    return _profile(np.array([[r01, r00 + r11, r10]]), count, entries.reshape(2, 2))
 
 
 def flipped_symmetric_amplitudes(n: int, flipped_path: int) -> np.ndarray:
@@ -364,7 +370,8 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
     real overlap g, hence PSD for g in [0, 1].  An array of overlaps shaped
     (k, 1, 1) gives the (k, n, n) stack of their Gram matrices.
     """
-    inside = np.isin(np.arange(n), list(decohered_paths))
+    inside = np.zeros(n, dtype=bool)
+    inside[list(decohered_paths)] = True
     return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
 
 

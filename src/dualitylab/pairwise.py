@@ -149,6 +149,15 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
            lambda: f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor")
 
 
+def _pair_weight(state: InterferometerState, i: int, j: int):
+    """rho_ii + rho_jj of the valid pair (i, j), raising as ``open_pair`` does."""
+    weight = _pair_parts(state, i, j)[-1]
+    if not np.isfinite(weight):
+        raise ValidationError(f"paths ({i}, {j}) carry non-finite total probability "
+                              f"{float(weight)!r}", check="finite")
+    return weight
+
+
 @_quiet
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     """Renormalized 2x2 state of paths (i, j) with all other paths blocked.
@@ -160,13 +169,28 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     Raises DarkPairError when rho_ii + rho_jj is numerically zero, and
     ValidationError (check ``finite``) when it is not finite.
     """
-    weight = _pair_parts(state, i, j)[-1]
-    if not np.isfinite(weight):
-        raise ValidationError(f"paths ({i}, {j}) carry non-finite total probability "
-                              f"{float(weight)!r}", check="finite")
+    return pair_entries(state, i, j, _pair_weight(state, i, j)).reshape(2, 2)
+
+
+def pair_entries(state: InterferometerState, i, j, weight) -> np.ndarray:
+    """R_00, R_01, R_10, R_11 of the renormalized pair state of paths (i, j),
+    whose total probability is ``weight``, stacked along the first axis.
+
+    ``i``, ``j`` and ``weight`` are scalars or equal-length arrays of pairs;
+    nothing is validated, so callers pass valid, lit pairs.  The name is
+    public, though outside ``__all__``, so a tracer that wraps a layer's
+    public functions attributes this work to the pair layer.
+    """
     rho, gram = state.rho, state.gram
-    return np.array([[rho[i, i], rho[i, j] * gram[i, j]],
-                     [rho[j, i] * gram[j, i], rho[j, j]]]) / weight
+    entries = np.array([rho[i, i], rho[i, j], rho[j, i], rho[j, j]])
+    # Each coherence term times its overlap, rounded as one complex scalar
+    # product is: numpy's array loop may fuse a multiply-add, so a stack of
+    # pairs would not match each pair alone.
+    terms, overlaps = entries[1:3], np.array([gram[i, j], gram[j, i]])
+    entries.real[1:3], entries.imag[1:3] = (
+        terms.real * overlaps.real - terms.imag * overlaps.imag,
+        terms.real * overlaps.imag + terms.imag * overlaps.real)
+    return entries / weight
 
 
 @_quiet

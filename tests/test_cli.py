@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,21 @@ class TestCsvChunks:
             monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
             assert main([mode, "--config", config_path]) == 0
             assert out.read_text(encoding="utf-8") == reference
+
+    def test_writer_never_stacks_the_whole_table(self, tmp_path):
+        # 2^17 rows of two float columns: one stacked copy of the table is
+        # 2^17 x 16 B; each chunk is stacked, formatted and written alone.
+        rows = 2**17
+        a, b = np.linspace(0.0, 1.0, rows), np.linspace(1.0, 2.0, rows)
+        path = str(tmp_path / "t.csv")
+        cli._write_atomic(path, cli._csv("a,b", a[:8], b[:8]))
+        tracemalloc.start()
+        try:
+            cli._write_atomic(path, cli._csv("a,b", a, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * 16
 
     def test_failure_mid_stream_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "fringes.csv"

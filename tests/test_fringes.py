@@ -25,7 +25,9 @@ from dualitylab import (
 from dualitylab import fringes
 from dualitylab.fringes import MAX_SCAN_PATHS, MAX_SCAN_POINTS, SCAN_BLOCK_POINTS, \
     _extrema, _harmonics, flipped_symmetric_amplitudes, selective_decoherence_gram
-from dualitylab.sampling import random_mixed_state, random_pure_state
+from dualitylab.pairwise import DARK_PAIR_THRESHOLD, _pair_indices, pair_entries
+from dualitylab.sampling import random_density_matrix, random_gram, random_mixed_state, \
+    random_pure_state, random_symmetric_mixed_state
 
 from oracles import companion_extrema, cosine_series_extrema, flip_scan_visibility, \
     michelson
@@ -459,6 +461,32 @@ class TestTwoSlitOracle:
             assert abs(extract_visibility(profile)
                        - pair_visibility(state, i, j)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+    def test_every_pair_at_once(self, n):
+        # All lit pairs of a state in one call of the entries two_slit_pattern
+        # is built from, their visibilities from one stack of harmonics.
+        rng = np.random.default_rng(401 + n)
+        states = [random_mixed_state(n, rng), random_pure_state(n, rng, gram_rank=1),
+                  random_symmetric_mixed_state(n, rng)]
+        if n > 2:
+            # Paths 0 and 1 carry nothing, so the pair (0, 1) is dark.
+            rho = random_density_matrix(n, rng)
+            rho[:2, :] = rho[:, :2] = 0.0
+            states.append(build_mixed_state(rho / np.trace(rho).real, random_gram(n, rng)))
+        for k, state in enumerate(states):
+            i, j = _pair_indices(n)
+            diag = state.rho.diagonal().real
+            weight = diag[i] + diag[j]
+            lit = weight > DARK_PAIR_THRESHOLD
+            assert np.flatnonzero(~lit).tolist() == ([0] if k == 3 else [])
+            i, j, weight = i[lit], j[lit], weight[lit]
+            r00, r01, r10, r11 = pair_entries(state, i, j, weight)
+            visibilities = fringes._michelson(
+                *_extrema(np.stack([r01, r00 + r11, r10], axis=1)))
+            for a, b, visibility in zip(i.tolist(), j.tolist(), visibilities):
+                assert visibility == two_slit_pattern(state, a, b).visibility
+                assert abs(visibility - pair_visibility(state, a, b)) <= 1e-12
+
     def test_rejects_wide_geometry(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
         with pytest.raises(DimensionError) as info:
@@ -638,6 +666,20 @@ class TestStackedScan:
 
         mei_weitz_scan(16, 0, [1, 2], [0.5])
         assert peak(256) <= 1.5 * peak(64)
+
+    def test_profile_holds_only_its_own_arrays(self):
+        # tracemalloc sees numpy's buffers but not the FFT's internal scratch:
+        # the traced peak is the profile's delta and intensity plus small parts.
+        steps = 2**16
+        state = random_mixed_state(4, np.random.default_rng(17))
+        intensity_profile(state, SlitGeometry(4, 64))
+        tracemalloc.start()
+        try:
+            intensity_profile(state, SlitGeometry(4, steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * steps * 8 + 16 * 1024
 
 
 class TestExactExtremaAccuracy:
