@@ -179,6 +179,20 @@ class TestHarmonicSampling:
             profile.intensity, direct_pattern(state.rho * state.gram, profile.delta),
             rtol=0.0, atol=1e-12)
 
+    def test_profile_holds_only_its_own_arrays(self):
+        # tracemalloc sees numpy's buffers but not the FFT's internal scratch:
+        # the traced peak is the profile's delta and intensity plus small parts.
+        steps = 2**16
+        state = random_mixed_state(4, np.random.default_rng(17))
+        intensity_profile(state, SlitGeometry(4, 64))
+        tracemalloc.start()
+        try:
+            intensity_profile(state, SlitGeometry(4, steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * steps * 8 + 16 * 1024
+
 
 class TestExactExtrema:
     def test_fivefold_critical_point(self):
@@ -666,20 +680,6 @@ class TestStackedScan:
 
         mei_weitz_scan(16, 0, [1, 2], [0.5])
         assert peak(256) <= 1.5 * peak(64)
-
-    def test_profile_holds_only_its_own_arrays(self):
-        # tracemalloc sees numpy's buffers but not the FFT's internal scratch:
-        # the traced peak is the profile's delta and intensity plus small parts.
-        steps = 2**16
-        state = random_mixed_state(4, np.random.default_rng(17))
-        intensity_profile(state, SlitGeometry(4, 64))
-        tracemalloc.start()
-        try:
-            intensity_profile(state, SlitGeometry(4, steps))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * steps * 8 + 16 * 1024
 
 
 class TestExactExtremaAccuracy:
