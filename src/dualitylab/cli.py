@@ -416,7 +416,6 @@ def build_report_document(config: ScenarioConfig,
         "is_symmetric": report.is_symmetric,
         "symmetric_sum_lhs": report.symmetric_sum_lhs,
         "weighted_sum_lhs": report.weighted_sum_lhs,
-        "gram_rank": diagnostics.gram_rank,
         "dark_pairs": [list(pair) for pair in report.dark_pairs],
     }
     pairwise = [

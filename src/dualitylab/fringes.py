@@ -46,7 +46,7 @@ from .core_state import InterferometerState, _as_complex_matrix, _is_integer, _q
     _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
-from .pairwise import _pair_weight, pair_entries
+from .pairwise import open_pair
 
 DEFAULT_PHASE_STEPS = 2048
 MIN_PHASE_STEPS = 64
@@ -350,15 +350,25 @@ def two_slit_pattern(state: InterferometerState, i: int, j: int,
     2 |R_01| to rounding.  Raises as ``open_pair`` does.
     """
     count = _phase_steps(geometry, 2)
-    entries = pair_entries(state, i, j, _pair_weight(state, i, j))
-    r00, r01, r10, r11 = entries
-    return _profile(np.array([[r01, r00 + r11, r10]]), count, entries.reshape(2, 2))
+    pair = open_pair(state, i, j)
+    (r00, r01), (r10, r11) = pair
+    return _profile(np.array([[r01, r00 + r11, r10]]), count, pair)
+
+
+def _path_index(value, n: int, name: str) -> int:
+    """``value`` as the index of one of n paths: TypeError, naming ``name``,
+    unless it is an integer, and IndexError unless it lies in [0, n)."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < n:
+        raise IndexError(f"{name} {value} out of range for {n} paths")
+    return int(value)
 
 
 def flipped_symmetric_amplitudes(n: int, flipped_path: int) -> np.ndarray:
     """Equal-magnitude amplitudes 1/sqrt(n) with one path flipped by pi."""
     amplitudes = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    amplitudes[flipped_path] *= -1.0
+    amplitudes[_path_index(flipped_path, n, "flipped_path")] *= -1.0
     return amplitudes
 
 
@@ -371,7 +381,7 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
     (k, 1, 1) gives the (k, n, n) stack of their Gram matrices.
     """
     inside = np.zeros(n, dtype=bool)
-    inside[list(decohered_paths)] = True
+    inside[[_path_index(p, n, "decohered_paths entry") for p in decohered_paths]] = True
     return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
 
 
@@ -391,24 +401,20 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     extrema of a block are each solved in one pass.  A grid may hold at most
     MAX_SCAN_POINTS values.  ``n``, ``flipped_path`` and every decohered path
     must be an integer (numpy integers included), or TypeError is raised; a
-    repeated decohered path raises ValueError.
+    path outside [0, n) raises IndexError and a repeated decohered path
+    raises ValueError.
     """
-    paths = list(decohered_paths)
-    for name, value in [("n", n), ("flipped_path", flipped_path),
-                        *(("decohered_paths entry", p) for p in paths)]:
-        if not _is_integer(value):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not _is_integer(n):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if not 3 <= n <= MAX_SCAN_PATHS:
         raise DimensionError(f"scan needs 3 to {MAX_SCAN_PATHS} paths, got {n}",
                              check="path_count")
-    if not (0 <= flipped_path < n):
-        raise IndexError(f"flipped_path {flipped_path} out of range for {n} paths")
-    decohered = tuple(sorted(int(p) for p in paths))
+    flipped_path = _path_index(flipped_path, n, "flipped_path")
+    decohered = tuple(sorted(_path_index(p, n, "decohered_paths entry")
+                             for p in decohered_paths))
     if not decohered or len(set(decohered)) < len(decohered):
         raise ValueError("decohered_paths must be a non-empty subset of distinct "
                          f"paths, got {list(decohered)}")
-    if any(p < 0 or p >= n for p in decohered):
-        raise IndexError(f"decohered_paths {decohered} out of range for {n} paths")
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("gamma_grid must be a non-empty 1-d sequence")

@@ -149,15 +149,6 @@ def _check_pairs(i, j, visibility, distinguishability, slack) -> None:
            lambda: f"pair ({i}, {j}): negative slack {float(slack)!r} implies a non-PSD minor")
 
 
-def _pair_weight(state: InterferometerState, i: int, j: int):
-    """rho_ii + rho_jj of the valid pair (i, j), raising as ``open_pair`` does."""
-    weight = _pair_parts(state, i, j)[-1]
-    if not np.isfinite(weight):
-        raise ValidationError(f"paths ({i}, {j}) carry non-finite total probability "
-                              f"{float(weight)!r}", check="finite")
-    return weight
-
-
 @_quiet
 def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     """Renormalized 2x2 state of paths (i, j) with all other paths blocked.
@@ -169,17 +160,19 @@ def open_pair(state: InterferometerState, i: int, j: int) -> np.ndarray:
     Raises DarkPairError when rho_ii + rho_jj is numerically zero, and
     ValidationError (check ``finite``) when it is not finite.
     """
-    return pair_entries(state, i, j, _pair_weight(state, i, j)).reshape(2, 2)
+    weight = _pair_parts(state, i, j)[-1]
+    if not np.isfinite(weight):
+        raise ValidationError(f"paths ({i}, {j}) carry non-finite total probability "
+                              f"{float(weight)!r}", check="finite")
+    return _pair_entries(state, i, j, weight).reshape(2, 2)
 
 
-def pair_entries(state: InterferometerState, i, j, weight) -> np.ndarray:
+def _pair_entries(state: InterferometerState, i, j, weight) -> np.ndarray:
     """R_00, R_01, R_10, R_11 of the renormalized pair state of paths (i, j),
     whose total probability is ``weight``, stacked along the first axis.
 
     ``i``, ``j`` and ``weight`` are scalars or equal-length arrays of pairs;
-    nothing is validated, so callers pass valid, lit pairs.  The name is
-    public, though outside ``__all__``, so a tracer that wraps a layer's
-    public functions attributes this work to the pair layer.
+    nothing is validated, so callers pass valid, lit pairs.
     """
     rho, gram = state.rho, state.gram
     entries = np.array([rho[i, i], rho[i, j], rho[j, i], rho[j, j]])

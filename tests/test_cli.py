@@ -315,8 +315,8 @@ class TestReportMode:
 
     def test_mixed_report_decomposes_each_matrix_once(self, tmp_path, spectral_calls):
         # build_mixed_state decomposes rho, gram and rho * gram in one call;
-        # the duality block and the diagnostics block both read the record
-        # it stored.
+        # the diagnostics block reads the record it stored, and the duality
+        # block does not repeat its rank.
         config_path = write_config(tmp_path, "c.json",
                                    report_config(tmp_path, state=MIXED_STATE))
         assert main(["report", "--config", config_path]) == 0
@@ -324,7 +324,8 @@ class TestReportMode:
         payload = json.loads((tmp_path / "report.json").read_text())
         config = parse_config(json.dumps(report_config(tmp_path, state=MIXED_STATE)))
         rank = validate(build_mixed_state(**config.state)).gram_rank
-        assert payload["duality"]["gram_rank"] == payload["diagnostics"]["gram_rank"] == rank == 2
+        assert payload["diagnostics"]["gram_rank"] == rank == 2
+        assert "gram_rank" not in payload["duality"]
 
 
 class TestTableModes:

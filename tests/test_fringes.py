@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualitylab import (
+    DarkPairError,
     DarkPatternError,
     DimensionError,
     FringeProfile,
@@ -19,13 +20,14 @@ from dualitylab import (
     extract_visibility,
     intensity_profile,
     mei_weitz_scan,
+    open_pair,
     pair_visibility,
     two_slit_pattern,
 )
 from dualitylab import fringes
 from dualitylab.fringes import MAX_SCAN_PATHS, MAX_SCAN_POINTS, SCAN_BLOCK_POINTS, \
     _extrema, _harmonics, flipped_symmetric_amplitudes, selective_decoherence_gram
-from dualitylab.pairwise import DARK_PAIR_THRESHOLD, _pair_indices, pair_entries
+from dualitylab.pairwise import DARK_PAIR_THRESHOLD, _pair_entries, _pair_indices
 from dualitylab.sampling import random_density_matrix, random_gram, random_mixed_state, \
     random_pure_state, random_symmetric_mixed_state
 
@@ -477,8 +479,9 @@ class TestTwoSlitOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
     def test_every_pair_at_once(self, n):
-        # All lit pairs of a state in one call of the entries two_slit_pattern
-        # is built from, their visibilities from one stack of harmonics.
+        # All lit pairs of a state in one call of the entries open_pair, and so
+        # two_slit_pattern, is built from, their visibilities from one stack
+        # of harmonics.
         rng = np.random.default_rng(401 + n)
         states = [random_mixed_state(n, rng), random_pure_state(n, rng, gram_rank=1),
                   random_symmetric_mixed_state(n, rng)]
@@ -494,12 +497,28 @@ class TestTwoSlitOracle:
             lit = weight > DARK_PAIR_THRESHOLD
             assert np.flatnonzero(~lit).tolist() == ([0] if k == 3 else [])
             i, j, weight = i[lit], j[lit], weight[lit]
-            r00, r01, r10, r11 = pair_entries(state, i, j, weight)
+            r00, r01, r10, r11 = _pair_entries(state, i, j, weight)
             visibilities = fringes._michelson(
                 *_extrema(np.stack([r01, r00 + r11, r10], axis=1)))
             for a, b, visibility in zip(i.tolist(), j.tolist(), visibilities):
                 assert visibility == two_slit_pattern(state, a, b).visibility
                 assert abs(visibility - pair_visibility(state, a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("i, j, error", [
+        (0, 1.0, IndexError), (0, 3, IndexError), (-1, 2, IndexError),
+        (2, 2, ValueError), (0, 1, DarkPairError)],
+        ids=["non_integer", "out_of_range", "negative", "equal", "dark"])
+    def test_raises_as_open_pair(self, i, j, error):
+        # Paths 0 and 1 carry nothing, so the pair (0, 1) is dark.
+        state = build_mixed_state(np.diag([0.0, 0.0, 1.0]), np.eye(3))
+        raised = []
+        for call in (open_pair, two_slit_pattern):
+            with pytest.raises(Exception) as info:
+                call(state, i, j)
+            raised.append((type(info.value), getattr(info.value, "check", None),
+                           str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is error
 
     def test_rejects_wide_geometry(self):
         state = build_pure_state([ISQ2, ISQ2], [(1, 0), (1, 0)])
@@ -518,6 +537,26 @@ class TestScanHelpers:
         expected = np.ones((4, 4), dtype=complex)
         expected[3, :3] = expected[:3, 3] = 0.25
         np.testing.assert_allclose(gram, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("path, error", [
+        (-1, IndexError), (4, IndexError), (True, TypeError), (1.5, TypeError),
+        ("1", TypeError)], ids=["negative", "past_end", "bool", "float", "str"])
+    @pytest.mark.parametrize("helper", ["flipped", "decohered"])
+    def test_path_index_rule(self, helper, path, error):
+        # The scan's rule: an integer path in [0, n), named when it fails.
+        if helper == "flipped":
+            name, call = "flipped_path", lambda: flipped_symmetric_amplitudes(4, path)
+        else:
+            name, call = "decohered_paths", lambda: selective_decoherence_gram(4, [path], 0.5)
+        with pytest.raises(error, match=rf"^{name}\b"):
+            call()
+
+    def test_valid_paths(self):
+        np.testing.assert_array_equal(flipped_symmetric_amplitudes(4, np.int64(3)),
+                                      flipped_symmetric_amplitudes(4, 3))
+        # An empty decohered set is valid: every overlap stays 1.
+        np.testing.assert_array_equal(selective_decoherence_gram(4, [], 0.5),
+                                      np.ones((4, 4), dtype=complex))
 
     def test_gram_is_psd_across_subsets(self):
         rng = np.random.default_rng(311)

@@ -1,7 +1,9 @@
 """The public names: the package's ``__all__`` and the CLI's mode list."""
 
+import inspect
+
 import dualitylab
-from dualitylab import cli
+from dualitylab import cli, pairwise
 
 PUBLIC_NAMES = [
     "CheckResult", "ConfigError", "DarkPairError", "DarkPatternError",
@@ -24,6 +26,16 @@ def test_all_is_the_pinned_list_and_every_name_resolves():
     assert sorted(dualitylab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(dualitylab, name), name
+
+
+def test_pair_layer_defines_only_its_public_functions():
+    # The pair layer's helpers stay private; a benchmark tracer counts every
+    # public function a layer defines.
+    defined = sorted(name for name, fn in vars(pairwise).items()
+                     if not name.startswith("_") and inspect.isfunction(fn)
+                     and fn.__module__ == pairwise.__name__)
+    assert defined == ["open_pair", "pair_distinguishability", "pair_metrics",
+                       "pair_visibility"]
 
 
 def test_cli_modes_formats_and_subcommands_agree():
