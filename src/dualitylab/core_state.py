@@ -74,29 +74,9 @@ def _check(residual: float, tolerance: float, check: str, message,
     raise error(message(), check=check, residual=residual, tolerance=tolerance)
 
 
-def _check_square(mat: np.ndarray, name: str) -> None:
-    """The shape rule of a state matrix: square, with at least 2 paths."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"{name} must be a square matrix, got shape {mat.shape}",
-                             check="square")
-    if mat.shape[0] < 2:
-        raise DimensionError(f"{name} needs at least 2 paths, got {mat.shape[0]}",
-                             check="path_count")
-
-
-def _check_shared_dimension(rho: np.ndarray, gram: np.ndarray) -> None:
-    if rho.shape[-2:] != gram.shape[-2:]:
-        raise DimensionError(
-            f"rho and gram must share dimensions, got {rho.shape} vs {gram.shape}",
-            check="shared_dimension")
-
-
-def _as_complex_matrix(values, name: str) -> np.ndarray:
-    mat = np.asarray(values, dtype=complex)
-    _check_square(mat, name)
-    if not np.isfinite(mat).all():
+def _check_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
-    return mat
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
@@ -104,8 +84,7 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionError(f"{name} must be a non-empty 1-d vector, got shape {vec.shape}",
                              check="vector")
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"{name} contains non-finite entries", check="finite")
+    _check_finite(vec, name)
     return vec
 
 
@@ -222,8 +201,8 @@ class InterferometerState:
     ``purity_flag`` is True when rho is (numerically) rank one, i.e. the
     quanton itself is in a pure state; every pairwise duality relation then
     saturates to an equality.  The arrays are stored read-only, so instances
-    are safe to share across threads.  Shapes are checked as the builders
-    check them (square, at least 2 paths, shared), raising DimensionError.
+    are safe to share across threads.  This is every state's shape rule, the
+    builders' too: square, at least 2 paths, shared, else DimensionError.
     """
 
     rho: np.ndarray
@@ -231,10 +210,19 @@ class InterferometerState:
     purity_flag: bool
 
     def __post_init__(self) -> None:
-        _store_read_only(self, complex, "rho", "gram")
-        _check_square(self.rho, "rho")
-        _check_square(self.gram, "gram")
-        _check_shared_dimension(self.rho, self.gram)
+        for name in ("rho", "gram"):
+            _store_read_only(self, complex, name)
+            mat = getattr(self, name)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise DimensionError(
+                    f"{name} must be a square matrix, got shape {mat.shape}", check="square")
+            if mat.shape[0] < 2:
+                raise DimensionError(f"{name} needs at least 2 paths, got {mat.shape[0]}",
+                                     check="path_count")
+        if self.rho.shape != self.gram.shape:
+            raise DimensionError(f"rho and gram must share dimensions, got "
+                                 f"{self.rho.shape} vs {self.gram.shape}",
+                                 check="shared_dimension")
 
     @property
     def n(self) -> int:
@@ -253,14 +241,13 @@ def _run_checks(rho: np.ndarray,
                 gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals of every structural invariant, over stacks of states.
 
-    ``rho`` and ``gram`` are (n, n) or (k, n, n) and broadcast against each
-    other.  Matrices of one shape share one eigvalsh call: a single state
-    makes one call, and a rho shared by a whole stack is decomposed once, on
-    its own, with the Gram and effective stacks in a second call.  Returns
-    the (..., len(_CHECKS)) residuals, one column per check, and the rho and
-    gram spectra.
+    ``rho`` and ``gram`` are (n, n) or (k, n, n) matrices of one n, which
+    broadcast against each other; shapes are the caller's to check.
+    Matrices of one shape share one eigvalsh call: a single state makes one
+    call, and a rho shared by a whole stack is decomposed once, on its own,
+    with the Gram and effective stacks in a second call.  Returns the
+    (..., len(_CHECKS)) residuals, one column per check, and both spectra.
     """
-    _check_shared_dimension(rho, gram)
     effective = rho * gram
     if rho.shape == gram.shape:
         rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
@@ -343,12 +330,10 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     NormalizationError
         Amplitudes or a detector vector are not normalized.
     DimensionError
-        Fewer than two paths, or detector vectors of mismatched length.
+        Detector count or lengths mismatched, or the record's shape error.
     """
     c = _as_complex_vector(amplitudes, "amplitudes")
     n = c.size
-    if n < 2:
-        raise DimensionError(f"need at least 2 paths, got {n}", check="path_count")
     norm2 = float(np.sum(np.abs(c) ** 2))
     _check(abs(norm2 - 1.0), AMPLITUDE_NORM_TOL, "amplitude_norm",
            lambda: f"amplitudes have squared norm {norm2!r}, expected 1",
@@ -377,27 +362,28 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
 def build_mixed_state(rho, gram) -> InterferometerState:
     """Build a state from a raw density matrix and detector Gram matrix.
 
-    Both matrices must pass their structural invariants (Hermitian, PSD,
-    unit trace / unit diagonal).  ``purity_flag`` is set iff rho is rank one
-    (top eigenvalue within PURITY_TOL of 1).
+    The record, built first, checks the shapes; then both matrices must be
+    finite and pass their structural invariants (Hermitian, PSD, unit trace
+    / unit diagonal).  ``purity_flag`` is set iff rho is rank one.
 
     Raises
     ------
     NormalizationError
         Trace of rho differs from 1 beyond tolerance.
     DimensionError
-        Non-square input, mismatched shapes, or fewer than two paths.
+        The record's: non-square input, mismatched shapes, or < 2 paths.
     ValidationError
         Any other invariant failure; carries the failed check name.
     """
-    rho = _as_complex_matrix(rho, "rho")
-    gram = _as_complex_matrix(gram, "gram")
-    residuals, rho_eigs, gram_eigs = _run_checks(rho, gram)
+    state = InterferometerState(rho, gram, False)
+    _check_finite(state.rho, "rho")
+    _check_finite(state.gram, "gram")
+    residuals, rho_eigs, gram_eigs = _run_checks(state.rho, state.gram)
     diagnostics = _diagnostics(residuals, gram_eigs)
     if not diagnostics.ok:
         _raise_first_failure(residuals)
-    state = InterferometerState(rho, gram, bool(rho_eigs[-1] >= 1.0 - PURITY_TOL))
-    object.__setattr__(state, "diagnostics", diagnostics)
+    vars(state).update(purity_flag=bool(rho_eigs[-1] >= 1.0 - PURITY_TOL),
+                       diagnostics=diagnostics)
     return state
 
 

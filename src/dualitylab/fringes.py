@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _as_complex_matrix, _is_integer, _quiet, \
+from .core_state import InterferometerState, _check_finite, _is_integer, _quiet, \
     _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
@@ -310,7 +310,7 @@ def _profile(harmonics: np.ndarray, count: int, matrix: np.ndarray) -> FringePro
     if not (finite and math.isfinite(i_max - i_min)):
         # A hand-built state is only shape-checked: a non-finite entry is
         # named first, else the finite entries overflow the pattern.
-        _as_complex_matrix(matrix, "effective state")
+        _check_finite(matrix, "effective state")
         raise ValidationError("effective state's pattern overflows the float range",
                               check="finite")
     intensity = _sample_pattern(harmonics[0], count)
@@ -365,8 +365,19 @@ def _path_index(value, n: int, name: str) -> int:
     return int(value)
 
 
+def _path_count(n) -> int:
+    """``n`` as a count of paths: TypeError, naming ``n``, unless it is an
+    integer, and DimensionError (check ``path_count``) below 2."""
+    if not _is_integer(n):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise DimensionError(f"n needs at least 2 paths, got {n}", check="path_count")
+    return int(n)
+
+
 def flipped_symmetric_amplitudes(n: int, flipped_path: int) -> np.ndarray:
     """Equal-magnitude amplitudes 1/sqrt(n) with one path flipped by pi."""
+    n = _path_count(n)
     amplitudes = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
     amplitudes[_path_index(flipped_path, n, "flipped_path")] *= -1.0
     return amplitudes
@@ -380,7 +391,7 @@ def selective_decoherence_gram(n: int, decohered_paths, g: float) -> np.ndarray:
     real overlap g, hence PSD for g in [0, 1].  An array of overlaps shaped
     (k, 1, 1) gives the (k, n, n) stack of their Gram matrices.
     """
-    inside = np.zeros(n, dtype=bool)
+    inside = np.zeros(_path_count(n), dtype=bool)
     inside[[_path_index(p, n, "decohered_paths entry") for p in decohered_paths]] = True
     return np.where(inside[:, None] != inside[None, :], g, 1.0).astype(complex)
 

@@ -437,8 +437,9 @@ class TestPassRule:
 
 
 class TestHandBuiltShapes:
-    """A state assembled by hand meets the builders' shape rule, so that
-    ``validate`` has a state it can always report on."""
+    """The record holds the one shape rule, so a state assembled by hand is
+    one ``validate`` can always report on, and the builders raise the
+    record's own error."""
 
     @pytest.mark.parametrize("rho,gram,check,message", [
         ((2, 2), (3, 3), "shared_dimension",
@@ -455,6 +456,15 @@ class TestHandBuiltShapes:
             with pytest.raises(DimensionError) as info:
                 build(np.zeros(rho), np.zeros(gram))
             assert (info.value.check, str(info.value)) == (check, message)
+
+    def test_one_path_pure_state_raises_the_records_error(self):
+        def raised(build):
+            with pytest.raises(DimensionError) as info:
+                build()
+            return type(info.value), info.value.check, str(info.value)
+
+        assert raised(lambda: build_pure_state([1.0], [(1, 0)])) == \
+            raised(lambda: InterferometerState(np.ones((1, 1)), np.ones((1, 1)), True))
 
 
 class TestRandomEnsembleProperties:

@@ -551,6 +551,22 @@ class TestScanHelpers:
         with pytest.raises(error, match=rf"^{name}\b"):
             call()
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: flipped_symmetric_amplitudes(0, 0), DimensionError),
+        (lambda: flipped_symmetric_amplitudes(1, 0), DimensionError),
+        (lambda: flipped_symmetric_amplitudes(2.0, 0), TypeError),
+        (lambda: selective_decoherence_gram(2.5, [0], 0.5), TypeError),
+        (lambda: selective_decoherence_gram(True, [0], 0.5), TypeError),
+        (lambda: selective_decoherence_gram(-1, [], 0.5), DimensionError),
+    ], ids=["flipped_zero", "flipped_one", "flipped_float", "decohered_float",
+            "decohered_bool", "decohered_negative"])
+    def test_path_count_rule(self, call, error):
+        # An integer count of at least 2 paths, named when it fails.
+        with pytest.raises(error, match=r"^n\b") as info:
+            call()
+        if error is DimensionError:
+            assert info.value.check == "path_count"
+
     def test_valid_paths(self):
         np.testing.assert_array_equal(flipped_symmetric_amplitudes(4, np.int64(3)),
                                       flipped_symmetric_amplitudes(4, 3))
