@@ -30,13 +30,11 @@ from .errors import DimensionError, NormalizationError, ValidationError
 
 # Equality-type tolerances.  Each must exceed the rounding error of the
 # quantity it checks: a sum of n terms of size at most 1, such as a trace,
-# is off by up to about n * 2.2e-16.
+# is off by up to about n * 2.2e-16.  A pure state's amplitudes and detectors
+# meet them through the trace and unit diagonal of the rho and gram they form.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNIT_DIAGONAL_TOL = 1e-12
-DETECTOR_NORM_TOL = 1e-12
-# Held against the amplitudes' squared norm, a sum of n squares.
-AMPLITUDE_NORM_TOL = 1e-10
 # Spectral tolerances.
 PSD_TOL = 1e-10          # smallest eigenvalue may not drop below -PSD_TOL
 PURITY_TOL = 1e-10       # rank-one detection: top eigenvalue within this of 1
@@ -96,18 +94,6 @@ def _quiet(fn):
     return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
-@_quiet
-def _as_unit_vectors(values, names, check: str, tolerance: float) -> list[np.ndarray]:
-    """Each of ``values`` as a finite, non-empty complex vector of unit norm;
-    a norm off by more than ``tolerance`` fails ``check``."""
-    vecs = [_as_complex_vector(vec, name) for vec, name in zip(values, names)]
-    norms = [float(np.linalg.norm(vec)) for vec in vecs]
-    for name, norm in zip(names, norms):
-        _check(abs(norm - 1.0), tolerance, check,
-               lambda: f"{name} has norm {norm!r}, expected 1", NormalizationError)
-    return vecs
-
-
 def _is_integer(value) -> bool:
     """A Python or numpy integer; bools are not counts or indices."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -140,6 +126,10 @@ def _hermiticity_defect(mat: np.ndarray) -> np.ndarray:
 
 def _trace_defect(mat: np.ndarray) -> np.ndarray:
     return abs(mat.trace(axis1=-2, axis2=-1).real - 1.0)
+
+
+def _unit_diagonal_defect(mat: np.ndarray) -> np.ndarray:
+    return abs(mat.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1)
 
 
 def _spectra(*mats: np.ndarray) -> np.ndarray:
@@ -257,8 +247,7 @@ def _run_checks(rho: np.ndarray,
     columns = (
         _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
         _hermiticity_defect(gram),
-        abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1),
-        gram_eigs[..., 0],
+        _unit_diagonal_defect(gram), gram_eigs[..., 0],
         _trace_defect(effective), effective_eigs[..., 0],
     )
     residuals = np.empty(effective.shape[:-2] + (len(_CHECKS),))
@@ -281,10 +270,16 @@ def _diagnostics(residuals: np.ndarray, gram_eigs: np.ndarray) -> StateDiagnosti
     return StateDiagnostics(checks=checks, gram_rank=rank)
 
 
-_ERROR_BY_CHECK = {
-    "rho_trace": NormalizationError,
-    "effective_trace": NormalizationError,
-}
+# The invariants that hold a quantity to 1 fail as a NormalizationError.
+_NORMALIZATION_CHECKS = ("rho_trace", "gram_unit_diagonal", "effective_trace")
+
+
+def _check_invariant(name: str, residual: float, where: str = "") -> None:
+    """Raise unless ``residual`` passes the invariant ``name`` of ``_CHECKS``."""
+    tolerance = dict(_CHECKS)[name]
+    _check(residual, tolerance, name, lambda: f"invariant '{name}' failed{where}: "
+           f"residual {residual!r} vs tolerance {tolerance!r}",
+           NormalizationError if name in _NORMALIZATION_CHECKS else ValidationError)
 
 
 def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> None:
@@ -299,19 +294,19 @@ def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> Non
     table = failed.reshape(-1, len(_CHECKS))
     point = int(np.argmax(table.any(axis=1)))
     column = int(np.argmax(table[point]))
-    name, tolerance = _CHECKS[column]
     residual = float(residuals.reshape(-1, len(_CHECKS))[point, column])
-    where = "" if start is None else f" at grid point {start + point}"
-    _check(residual, tolerance, name,
-           lambda: f"invariant '{name}' failed{where}: residual {residual!r} "
-                   f"vs tolerance {tolerance!r}",
-           _ERROR_BY_CHECK.get(name, ValidationError))
+    _check_invariant(_CHECKS[column][0], residual,
+                     "" if start is None else f" at grid point {start + point}")
 
 
 @_quiet
 def build_pure_state(amplitudes, detectors) -> InterferometerState:
     """Build the state of a pure quanton entangled with one detector state
     per path.
+
+    The state formed must pass the record's ``rho_trace``, ``gram_unit_diagonal``
+    and ``effective_trace`` checks; Hermiticity and positivity hold by
+    construction, so building makes no eigensolve.
 
     Parameters
     ----------
@@ -328,23 +323,17 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     Raises
     ------
     NormalizationError
-        Amplitudes or a detector vector are not normalized.
+        A trace (of rho or rho * gram) or a detector's squared norm (a Gram
+        diagonal entry) is not 1.
     DimensionError
         Detector count or lengths mismatched, or the record's shape error.
     """
     c = _as_complex_vector(amplitudes, "amplitudes")
-    n = c.size
-    norm2 = float(np.sum(np.abs(c) ** 2))
-    _check(abs(norm2 - 1.0), AMPLITUDE_NORM_TOL, "amplitude_norm",
-           lambda: f"amplitudes have squared norm {norm2!r}, expected 1",
-           NormalizationError)
-
     detectors = list(detectors)
-    if len(detectors) != n:
-        raise DimensionError(f"got {len(detectors)} detector states for {n} paths",
+    if len(detectors) != c.size:
+        raise DimensionError(f"got {len(detectors)} detector states for {c.size} paths",
                              check="detector_count")
-    names = [f"detectors[{k}]" for k in range(n)]
-    vecs = _as_unit_vectors(detectors, names, "detector_norm", DETECTOR_NORM_TOL)
+    vecs = [_as_complex_vector(vec, f"detectors[{k}]") for k, vec in enumerate(detectors)]
     dim = vecs[0].size
     for k, vec in enumerate(vecs):
         if vec.size != dim:
@@ -354,9 +343,13 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
 
     stacked = np.vstack(vecs)
     # gram[i, j] = <d_j|d_i> = sum_k conj(d_j[k]) d_i[k]
-    gram = stacked @ stacked.conj().T
-    rho = np.outer(c, c.conj())
-    return InterferometerState(rho=rho, gram=gram, purity_flag=True)
+    state = InterferometerState(rho=np.outer(c, c.conj()), gram=stacked @ stacked.conj().T,
+                                purity_flag=True)
+    for name, residual in (("rho_trace", _trace_defect(state.rho)),
+                           ("gram_unit_diagonal", _unit_diagonal_defect(state.gram)),
+                           ("effective_trace", _trace_defect(state.rho * state.gram))):
+        _check_invariant(name, float(residual))
+    return state
 
 
 def build_mixed_state(rho, gram) -> InterferometerState:
@@ -369,7 +362,7 @@ def build_mixed_state(rho, gram) -> InterferometerState:
     Raises
     ------
     NormalizationError
-        Trace of rho differs from 1 beyond tolerance.
+        A trace (of rho or rho * gram) or a Gram diagonal entry is not 1.
     DimensionError
         The record's: non-square input, mismatched shapes, or < 2 paths.
     ValidationError

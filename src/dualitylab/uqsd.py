@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_unit_vectors, _check, _is_integer, _quiet, _spectra, \
+from .core_state import _as_complex_vector, _check, _is_integer, _quiet, _spectra, \
     _store_read_only
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
@@ -67,7 +67,8 @@ class UqsdProblem:
 
     Identical (|overlap| = 1) states are rejected: they carry no which-path
     information and cannot be discriminated at all.  ``d1`` and ``d2`` are
-    stored as read-only copies.
+    stored as read-only copies.  Both are shape- and finite-checked before
+    either norm is held to ``STATE_NORM_TOL`` (check ``state_norm``).
     """
 
     d1: np.ndarray
@@ -75,10 +76,14 @@ class UqsdProblem:
     p1: float
     p2: float
 
+    @_quiet
     def __post_init__(self) -> None:
         _store_read_only(self, complex, "d1", "d2")
-        d1, d2 = _as_unit_vectors((self.d1, self.d2), ("d1", "d2"), "state_norm",
-                                  STATE_NORM_TOL)
+        d1, d2 = _as_complex_vector(self.d1, "d1"), _as_complex_vector(self.d2, "d2")
+        for name, vec in (("d1", d1), ("d2", d2)):
+            norm = float(np.linalg.norm(vec))
+            _check(abs(norm - 1.0), STATE_NORM_TOL, "state_norm",
+                   lambda: f"{name} has norm {norm!r}, expected 1", NormalizationError)
         if d1.size != d2.size:
             raise DimensionError(
                 f"d1 and d2 must share a dimension, got {d1.size} vs {d2.size}",

@@ -538,6 +538,23 @@ class TestExitCodes:
         assert main(["report", "--config", config_path]) == 3
         assert "rho_trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_pure_and_matrix_forms_of_a_state_exit_alike(self, tmp_path, capsys, flags):
+        # The amplitudes' squared norm is 1 + 3.8e-11: off by more than the
+        # 1e-12 of rho_trace, whichever form the state is given in.
+        c, d = np.full(2, 0.7071067812), np.array([[1.0, 0.0], [0.6, 0.8]])
+        outcomes = []
+        for state in ({"amplitudes": c.tolist(), "detectors": d.tolist()},
+                      {"rho": np.outer(c, c).tolist(), "gram": (d @ d.T).tolist()}):
+            config_path = write_config(tmp_path, "c.json", report_config(tmp_path, state=state))
+            code = main(["report", "--config", config_path, *flags])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, (out, err) = outcomes[0]
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: invariant 'rho_trace' failed")
+        assert not (tmp_path / "report.json").exists()
+
     def test_regime_error_is_4(self, tmp_path, capsys):
         config = {
             "mode": "uqsd",

@@ -91,12 +91,46 @@ class TestBuildPureState:
     def test_non_unit_detector(self):
         with pytest.raises(NormalizationError) as info:
             build_pure_state([ISQ2, ISQ2], [(1, 0), (0.5, 0.5)])
-        assert info.value.check == "detector_norm"
+        assert info.value.check == "gram_unit_diagonal"
 
     def test_single_path_rejected(self):
         with pytest.raises(DimensionError) as info:
             build_pure_state([1.0], [(1, 0)])
         assert info.value.check == "path_count"
+
+    @pytest.mark.parametrize("amplitudes,detectors,check", [
+        ([0.7071067812] * 2, [(1, 0), (0.6, 0.8)], "rho_trace"),
+        ([ISQ2] * 2, [(1 + 0.9e-12, 0), (0, 1)], "gram_unit_diagonal"),
+    ])
+    def test_rejects_what_the_mixed_builder_rejects(self, amplitudes, detectors, check):
+        # Each state passed the amplitude or detector norm rule it replaced
+        # and failed its own validate.
+        c, d = np.asarray(amplitudes, dtype=complex), np.asarray(detectors, dtype=complex)
+        with pytest.raises(ValidationError) as mixed:
+            build_mixed_state(np.outer(c, c.conj()), d @ d.conj().T)
+        with pytest.raises(ValidationError) as pure:
+            build_pure_state(amplitudes, detectors)
+        assert type(pure.value) is type(mixed.value) is NormalizationError
+        assert pure.value.check == mixed.value.check == check
+        assert str(pure.value) == str(mixed.value)
+        assert pure.value.residual == mixed.value.residual
+
+    def test_every_built_state_passes_validate(self):
+        # Squared norms perturbed across the 1e-12 tolerances: a state is
+        # either refused or passes every check it is later reported against.
+        rng = np.random.default_rng(29)
+        built = 0
+        for _ in range(5000):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            c = random_amplitudes(n, rng) * np.sqrt(1 + rng.uniform(-2e-12, 2e-12))
+            d = random_detectors(n, m, rng) * np.sqrt(1 + rng.uniform(-2e-12, 2e-12, (n, 1)))
+            try:
+                state = build_pure_state(c, d)
+            except NormalizationError:
+                continue
+            built += 1
+            assert validate(state).ok, validate(state).failed()
+        assert 0 < built < 5000
 
     @pytest.mark.parametrize("amplitudes,detectors,error,check", [
         ([[ISQ2, ISQ2]], [(1, 0), (0, 1)], DimensionError, "vector"),
@@ -270,6 +304,15 @@ class TestValidateDiagnostics:
         state = build_mixed_state(np.eye(3) / 3, random_gram(3, np.random.default_rng(4)))
         # rho, gram and the effective state, once each in one call.
         assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
+        assert validate(state) is state.diagnostics
+        assert validate(state).ok
+        assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
+
+    def test_built_pure_state_is_checked_once(self, spectral_calls):
+        rng = np.random.default_rng(4)
+        state = build_pure_state(random_amplitudes(3, rng), random_detectors(3, 2, rng))
+        # Hermitian and PSD by construction: building decomposes nothing.
+        assert spectral_calls == {"eigvalsh": 0, "matrix_rank": 0, "matrices": 0}
         assert validate(state) is state.diagnostics
         assert validate(state).ok
         assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
