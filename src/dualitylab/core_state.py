@@ -31,7 +31,8 @@ from .errors import DimensionError, NormalizationError, ValidationError
 # Equality-type tolerances.  Each must exceed the rounding error of the
 # quantity it checks: a sum of n terms of size at most 1, such as a trace,
 # is off by up to about n * 2.2e-16.  A pure state's amplitudes and detectors
-# meet them through the trace and unit diagonal of the rho and gram they form.
+# meet them through the trace and unit diagonal of the rho and gram they form,
+# and a UQSD problem's two detector states through the same unit diagonal.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNIT_DIAGONAL_TOL = 1e-12
@@ -299,6 +300,19 @@ def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> Non
                      "" if start is None else f" at grid point {start + point}")
 
 
+def _detector_gram(vectors, names) -> np.ndarray:
+    """gram[i, j] = <d_j|d_i> of the detector ``vectors``, each checked under its
+    name in ``names``; all share one length, else ``detector_dimension``."""
+    vecs = [_as_complex_vector(vec, name) for vec, name in zip(vectors, names)]
+    dim = vecs[0].size
+    for vec, name in zip(vecs, names):
+        if vec.size != dim:
+            raise DimensionError(f"{name} has length {vec.size}, expected {dim}",
+                                 check="detector_dimension")
+    stacked = np.vstack(vecs)
+    return stacked @ stacked.conj().T
+
+
 @_quiet
 def build_pure_state(amplitudes, detectors) -> InterferometerState:
     """Build the state of a pure quanton entangled with one detector state
@@ -333,18 +347,8 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     if len(detectors) != c.size:
         raise DimensionError(f"got {len(detectors)} detector states for {c.size} paths",
                              check="detector_count")
-    vecs = [_as_complex_vector(vec, f"detectors[{k}]") for k, vec in enumerate(detectors)]
-    dim = vecs[0].size
-    for k, vec in enumerate(vecs):
-        if vec.size != dim:
-            raise DimensionError(
-                f"detectors[{k}] has length {vec.size}, expected {dim}",
-                check="detector_dimension")
-
-    stacked = np.vstack(vecs)
-    # gram[i, j] = <d_j|d_i> = sum_k conj(d_j[k]) d_i[k]
-    state = InterferometerState(rho=np.outer(c, c.conj()), gram=stacked @ stacked.conj().T,
-                                purity_flag=True)
+    gram = _detector_gram(detectors, [f"detectors[{k}]" for k in range(c.size)])
+    state = InterferometerState(rho=np.outer(c, c.conj()), gram=gram, purity_flag=True)
     for name, residual in (("rho_trace", _trace_defect(state.rho)),
                            ("gram_unit_diagonal", _unit_diagonal_defect(state.gram)),
                            ("effective_trace", _trace_defect(state.rho * state.gram))):

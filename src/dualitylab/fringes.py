@@ -415,8 +415,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     path outside [0, n) raises IndexError and a repeated decohered path
     raises ValueError.
     """
-    if not _is_integer(n):
-        raise TypeError(f"n must be an integer, got {n!r}")
+    n = _path_count(n)
     if not 3 <= n <= MAX_SCAN_PATHS:
         raise DimensionError(f"scan needs 3 to {MAX_SCAN_PATHS} paths, got {n}",
                              check="path_count")

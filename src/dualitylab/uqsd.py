@@ -30,13 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import _as_complex_vector, _check, _is_integer, _quiet, _spectra, \
-    _store_read_only
+from .core_state import PSD_TOL, TRACE_TOL, UNIT_DIAGONAL_TOL, _check, _check_invariant, \
+    _detector_gram, _is_integer, _quiet, _spectra, _store_read_only, _unit_diagonal_defect
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
-PRIOR_SUM_TOL = 1e-12
-STATE_NORM_TOL = 1e-12
-POVM_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 # Born probabilities below this are exact zeros of the construction polluted
 # by rounding; they are clamped to 0 before sampling so that structurally
@@ -57,7 +54,7 @@ def _check_priors(p1: float, p2: float) -> None:
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise ValidationError(f"priors ({p1}, {p2}) must lie in [0, 1]",
                               check="prior_range")
-    _check(abs(p1 + p2 - 1.0), PRIOR_SUM_TOL, "prior_sum",
+    _check(abs(p1 + p2 - 1.0), TRACE_TOL, "prior_sum",
            lambda: f"priors sum to {p1 + p2!r}, expected 1", NormalizationError)
 
 
@@ -67,8 +64,8 @@ class UqsdProblem:
 
     Identical (|overlap| = 1) states are rejected: they carry no which-path
     information and cannot be discriminated at all.  ``d1`` and ``d2`` are
-    stored as read-only copies.  Both are shape- and finite-checked before
-    either norm is held to ``STATE_NORM_TOL`` (check ``state_norm``).
+    stored as read-only copies and held to a pure state's detector rule:
+    ``detector_dimension``, then ``gram_unit_diagonal`` on their Gram matrix.
     """
 
     d1: np.ndarray
@@ -79,17 +76,11 @@ class UqsdProblem:
     @_quiet
     def __post_init__(self) -> None:
         _store_read_only(self, complex, "d1", "d2")
-        d1, d2 = _as_complex_vector(self.d1, "d1"), _as_complex_vector(self.d2, "d2")
-        for name, vec in (("d1", d1), ("d2", d2)):
-            norm = float(np.linalg.norm(vec))
-            _check(abs(norm - 1.0), STATE_NORM_TOL, "state_norm",
-                   lambda: f"{name} has norm {norm!r}, expected 1", NormalizationError)
-        if d1.size != d2.size:
-            raise DimensionError(
-                f"d1 and d2 must share a dimension, got {d1.size} vs {d2.size}",
-                check="state_dimension")
+        gram = _detector_gram((self.d1, self.d2), ("d1", "d2"))
+        _check_invariant("gram_unit_diagonal", float(_unit_diagonal_defect(gram)),
+                         " for d1 and d2")
         _check_priors(self.p1, self.p2)
-        if abs(np.vdot(d1, d2)) >= 1.0 - STATE_NORM_TOL:
+        if abs(np.vdot(self.d1, self.d2)) >= 1.0 - UNIT_DIAGONAL_TOL:
             raise ValidationError(
                 "d1 and d2 are (numerically) identical and cannot be "
                 "unambiguously discriminated", check="overlap_strict")
@@ -178,7 +169,7 @@ def build_povm(problem: UqsdProblem) -> UqsdPovm:
 
     for name, eigs in zip(("e1", "e2", "e_fail"), _spectra(e1, e2, e_fail)):
         min_eig = float(eigs[0])
-        _check(min_eig, -POVM_PSD_TOL, "povm_psd",
+        _check(min_eig, -PSD_TOL, "povm_psd",
                lambda: f"POVM element {name} has eigenvalue {min_eig!r}")
     povm = UqsdPovm(e1=e1, e2=e2, e_fail=e_fail, basis=basis)
     probs = _born_probabilities(problem, povm)
@@ -213,10 +204,15 @@ class SimulationResult:
 
 def _born_probabilities(problem: UqsdProblem, povm: UqsdPovm) -> np.ndarray:
     """(2, 3) matrix of outcome probabilities (E1, E2, fail) per state."""
+    for name, columns in (("e1", 2), ("e2", 2), ("e_fail", 2), ("basis", problem.d1.size)):
+        shape = getattr(povm, name).shape
+        if shape != (2, columns):
+            raise DimensionError(f"POVM {name} has shape {shape}, expected (2, {columns})",
+                                 check="povm_shape")
     coords = povm.basis.conj() @ np.vstack([problem.d1, problem.d2]).T  # (2, 2)
     probs = np.array([[np.vdot(vec, element @ vec).real
                        for element in (povm.e1, povm.e2, povm.e_fail)] for vec in coords.T])
-    _check(float(probs.min()), -POVM_PSD_TOL, "born_probability",
+    _check(float(probs.min()), -PSD_TOL, "born_probability",
            lambda: f"negative Born probability {probs.min()!r}; POVM is invalid")
     # A POVM built for other states can name the wrong one.
     leak = np.maximum(probs[0, 1], probs[1, 0])
@@ -238,7 +234,8 @@ def simulate(problem: UqsdProblem, povm: UqsdPovm, trials: int,
 
     Raises ValidationError (check ``born_unambiguity``) when ``povm`` can
     identify the wrong state of ``problem``, as a POVM built for another
-    problem does.
+    problem does, and DimensionError (check ``povm_shape``) when its elements
+    are not 2 x 2 or its two basis rows are not of ``problem``'s detector length.
     """
     if not _is_integer(trials) or not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")

@@ -558,10 +558,14 @@ class TestScanHelpers:
         (lambda: selective_decoherence_gram(2.5, [0], 0.5), TypeError),
         (lambda: selective_decoherence_gram(True, [0], 0.5), TypeError),
         (lambda: selective_decoherence_gram(-1, [], 0.5), DimensionError),
+        (lambda: mei_weitz_scan(0, 0, [1], [0.5]), DimensionError),
+        (lambda: mei_weitz_scan(1, 0, [1], [0.5]), DimensionError),
+        (lambda: mei_weitz_scan(True, 0, [1], [0.5]), TypeError),
     ], ids=["flipped_zero", "flipped_one", "flipped_float", "decohered_float",
-            "decohered_bool", "decohered_negative"])
+            "decohered_bool", "decohered_negative", "scan_zero", "scan_one", "scan_bool"])
     def test_path_count_rule(self, call, error):
-        # An integer count of at least 2 paths, named when it fails.
+        # An integer count of at least 2 paths, named when it fails; the scan
+        # holds the same rule before its own range of 3 to MAX_SCAN_PATHS.
         with pytest.raises(error, match=r"^n\b") as info:
             call()
         if error is DimensionError:

@@ -46,6 +46,17 @@ def inf_povm():
     return problem, UqsdPovm(e1, povm.e2, povm.e_fail, povm.basis)
 
 
+def misshaped_povm(dimension=2, **fields):
+    """A problem in ``dimension`` detector coordinates against the POVM built
+    for its first two, with ``fields`` written into that POVM."""
+    povm = build_povm(UqsdProblem([1, 0], [0.5, 0.75**0.5], 0.5, 0.5))
+    pad = [0] * (dimension - 2)
+    problem = UqsdProblem([1, 0, *pad], [0.5, 0.75**0.5, *pad], 0.5, 0.5)
+    fields = {name: fields.get(name, getattr(povm, name))
+              for name in ("e1", "e2", "e_fail", "basis")}
+    return problem, UqsdPovm(**fields)
+
+
 def inf_profile():
     return FringeProfile(np.zeros(4), np.zeros(4), np.float64(np.inf),
                          np.float64(np.inf), 0.0)
@@ -116,6 +127,17 @@ def _cases():
         lambda records: dualitylab.simulate(*records, trials=100, seed=1),
         ("born_probability", "negative Born probability np.float64(nan); POVM is invalid"),
         id="inf_povm-simulate")
+    for kind, build, message in (
+            ("other_dimension", lambda: misshaped_povm(3),
+             "POVM basis has shape (2, 2), expected (2, 3)"),
+            ("e1_3x3", lambda: misshaped_povm(e1=np.eye(3)),
+             "POVM e1 has shape (3, 3), expected (2, 2)"),
+            ("e1_vector", lambda: misshaped_povm(e1=np.ones(2)),
+             "POVM e1 has shape (2,), expected (2, 2)")):
+        yield pytest.param(
+            lambda _, build=build: build(), None,
+            lambda records: dualitylab.simulate(*records, trials=100, seed=1),
+            ("povm_shape", message), id=f"misshaped_povm_{kind}-simulate")
     yield pytest.param(lambda _: inf_profile(), None, dualitylab.extract_visibility, NAN,
                        id="inf_profile-extract_visibility")
 

@@ -12,6 +12,7 @@ from dualitylab import (
     ValidationError,
     build_mixed_state,
     build_povm,
+    build_pure_state,
     pair_distinguishability,
     simulate,
     success_probability,
@@ -88,12 +89,17 @@ class TestProblemValidation:
     def test_non_unit_state(self):
         with pytest.raises(NormalizationError) as info:
             UqsdProblem(d1=np.array([0.5, 0.5]), d2=E2, p1=0.5, p2=0.5)
-        assert info.value.check == "state_norm"
+        assert info.value.check == "gram_unit_diagonal"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError) as info:
             UqsdProblem(d1=E1, d2=np.array([0, 0, 1.0]), p1=0.5, p2=0.5)
-        assert info.value.check == "state_dimension"
+        assert info.value.check == "detector_dimension"
+
+    def test_dimension_is_checked_before_norm(self):
+        with pytest.raises(DimensionError) as info:
+            UqsdProblem(d1=np.array([0.5, 0.5]), d2=np.array([0, 0, 1.0]), p1=0.5, p2=0.5)
+        assert info.value.check == "detector_dimension"
 
     def test_prior_sum(self):
         with pytest.raises(NormalizationError) as info:
@@ -111,6 +117,40 @@ class TestProblemValidation:
             UqsdProblem(**{"d1": E1, "d2": E2, "p1": 0.5, "p2": 0.5, **changes})
         assert type(info.value) is error
         assert info.value.check == check
+
+
+class TestPureStateDetectorRule:
+    """A problem's d1 and d2 are the detectors of a two-path pure state and
+    meet that state's rule: same verdict, same check."""
+
+    @staticmethod
+    def _verdicts(d1, d2):
+        verdicts = []
+        for build in (lambda: UqsdProblem(d1, d2, 0.5, 0.5),
+                      lambda: build_pure_state([2**-0.5] * 2, [d1, d2])):
+            try:
+                build()
+            except ValidationError as error:
+                verdicts.append((type(error), error.check))
+            else:
+                verdicts.append(None)
+        return verdicts
+
+    def test_squared_norm_is_held_like_a_pure_states(self):
+        d1, d2 = [1 + 0.9e-12, 0], [0, 1]
+        assert self._verdicts(d1, d2) == [(NormalizationError, "gram_unit_diagonal")] * 2
+
+    def test_seeded_pairs_get_one_verdict(self):
+        # Squared norms perturbed across the 1e-12 tolerance.
+        rng = np.random.default_rng(31)
+        accepted = 0
+        for _ in range(20_000):
+            d1, d2 = random_detectors(2, int(rng.integers(2, 5)), rng) \
+                * np.sqrt(1 + rng.uniform(-2e-12, 2e-12, (2, 1)))
+            problem, pure = self._verdicts(d1, d2)
+            assert problem == pure, (d1, d2)
+            accepted += problem is None
+        assert 0 < accepted < 20_000
 
 
 class TestBuildPovm:
