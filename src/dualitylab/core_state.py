@@ -78,8 +78,19 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} contains non-finite entries", check="finite")
 
 
+def _as_array(values, dtype, name: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array, as np.asarray gives it; input numpy
+    cannot convert, such as ragged rows, text or an integer past the float
+    range, raises ValidationError (check ``array``) naming ``name``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ValidationError(f"{name} cannot be converted to a {np.dtype(dtype).name} array",
+                              check="array") from error
+
+
 def _as_complex_vector(values, name: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=complex)
+    vec = _as_array(values, complex, name)
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionError(f"{name} must be a non-empty 1-d vector, got shape {vec.shape}",
                              check="vector")
@@ -104,7 +115,7 @@ def _store_read_only(instance, dtype, *names: str) -> None:
     """Replace each named array field of a frozen dataclass by a read-only
     ``dtype`` copy, so the instance neither aliases nor alters its inputs."""
     for name in names:
-        arr = np.array(getattr(instance, name), dtype=dtype, copy=True)
+        arr = _as_array(getattr(instance, name), dtype, name).copy(order="K")
         arr.setflags(write=False)
         object.__setattr__(instance, name, arr)
 
@@ -130,7 +141,8 @@ def _trace_defect(mat: np.ndarray) -> np.ndarray:
 
 
 def _unit_diagonal_defect(mat: np.ndarray) -> np.ndarray:
-    return abs(mat.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+    """The worst unit-diagonal defect of a matrix or a stack of them."""
+    return abs(mat.diagonal(axis1=-2, axis2=-1) - 1.0).max()
 
 
 def _spectra(*mats: np.ndarray) -> np.ndarray:
@@ -230,30 +242,18 @@ class InterferometerState:
 @_quiet
 def _run_checks(rho: np.ndarray,
                 gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of every structural invariant, over stacks of states.
-
-    ``rho`` and ``gram`` are (n, n) or (k, n, n) matrices of one n, which
-    broadcast against each other; shapes are the caller's to check.
-    Matrices of one shape share one eigvalsh call: a single state makes one
-    call, and a rho shared by a whole stack is decomposed once, on its own,
-    with the Gram and effective stacks in a second call.  Returns the
-    (..., len(_CHECKS)) residuals, one column per check, and both spectra.
+    """Residuals of every structural invariant of one (n, n) state, one per
+    check in report order, and the spectra of rho and gram.  rho, gram and
+    the effective state are decomposed in one eigvalsh call; shapes are the
+    caller's to check.
     """
     effective = rho * gram
-    if rho.shape == gram.shape:
-        rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
-    else:
-        (rho_eigs,) = _spectra(rho)
-        gram_eigs, effective_eigs = _spectra(*np.broadcast_arrays(gram, effective))
-    columns = (
-        _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[..., 0],
-        _hermiticity_defect(gram),
-        _unit_diagonal_defect(gram), gram_eigs[..., 0],
-        _trace_defect(effective), effective_eigs[..., 0],
-    )
-    residuals = np.empty(effective.shape[:-2] + (len(_CHECKS),))
-    for column, values in enumerate(columns):
-        residuals[..., column] = values
+    rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
+    residuals = np.array([
+        _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[0],
+        _hermiticity_defect(gram), _unit_diagonal_defect(gram), gram_eigs[0],
+        _trace_defect(effective), effective_eigs[0],
+    ])
     return residuals, rho_eigs, gram_eigs
 
 
@@ -283,21 +283,24 @@ def _check_invariant(name: str, residual: float, where: str = "") -> None:
            NormalizationError if name in _NORMALIZATION_CHECKS else ValidationError)
 
 
-def _raise_first_failure(residuals: np.ndarray, start: int | None = None) -> None:
-    """Raise for the first failed check of the first failing state.
-
-    For the residuals of a (k, n, n) stack, ``start`` is the grid index of
-    its first state, and the message names the grid point that failed.
-    """
+def _raise_first_failure(residuals: np.ndarray) -> None:
+    """Raise for the first failed check of one state's residuals."""
     failed = _failed(residuals)
-    if not failed.any():
-        return
-    table = failed.reshape(-1, len(_CHECKS))
-    point = int(np.argmax(table.any(axis=1)))
-    column = int(np.argmax(table[point]))
-    residual = float(residuals.reshape(-1, len(_CHECKS))[point, column])
-    _check_invariant(_CHECKS[column][0], residual,
-                     "" if start is None else f" at grid point {start + point}")
+    if failed.any():
+        column = int(np.argmax(failed))
+        _check_invariant(_CHECKS[column][0], float(residuals[column]))
+
+
+def _check_formed(rho: np.ndarray, gram: np.ndarray) -> None:
+    """Hold a formed state, rho = c c^H with a Gram matrix of detector vectors,
+    to the record's ``rho_trace``, ``gram_unit_diagonal`` and ``effective_trace``
+    checks, in that order.  Hermiticity and positivity hold by construction, so
+    this makes no eigensolve.  ``gram`` may be a (k, n, n) stack sharing rho;
+    each check then holds its worst residual over the stack."""
+    for name, residual in (("rho_trace", _trace_defect(rho)),
+                           ("gram_unit_diagonal", _unit_diagonal_defect(gram)),
+                           ("effective_trace", _trace_defect(rho * gram).max())):
+        _check_invariant(name, float(residual))
 
 
 def _detector_gram(vectors, names) -> np.ndarray:
@@ -349,10 +352,7 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
                              check="detector_count")
     gram = _detector_gram(detectors, [f"detectors[{k}]" for k in range(c.size)])
     state = InterferometerState(rho=np.outer(c, c.conj()), gram=gram, purity_flag=True)
-    for name, residual in (("rho_trace", _trace_defect(state.rho)),
-                           ("gram_unit_diagonal", _unit_diagonal_defect(state.gram)),
-                           ("effective_trace", _trace_defect(state.rho * state.gram))):
-        _check_invariant(name, float(residual))
+    _check_formed(state.rho, state.gram)
     return state
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _check_finite, _is_integer, _quiet, \
-    _raise_first_failure, _record, _run_checks, _store_read_only, effective_density
+from .core_state import InterferometerState, _check_finite, _check_formed, _is_integer, \
+    _quiet, _record, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -53,18 +53,17 @@ MIN_PHASE_STEPS = 64
 # Bounds each of a profile's two arrays, and the transform's scratch, at 8 MiB.
 MAX_PHASE_STEPS = 2**20
 # One scan point costs about n^3 once n is large (the scan's patterns are
-# real, so this is the colleague eigensolve of degree n - 2 plus the checks'
-# eigvalsh of degree n): 0.024 ms at n = 4, 0.14 ms at 16, 0.52 ms at 32 and
-# 2.5 ms at 64 on a 2-core x86 host.  64 paths keep an 11-point scan at 24 ms.
+# real, so this is the colleague eigensolve of degree n - 2; the checks make
+# no eigensolve): 0.010 ms at n = 4, 0.045 ms at 16, 0.19 ms at 32 and 0.9 ms
+# at 64 on a 2-core x86 host.  64 paths keep an 11-point scan at 11 ms.
 MAX_SCAN_PATHS = 64
-# The worst scan, 1024 points at n = 64, takes 2.5 s on the same host.
+# The worst scan, 1024 points at n = 64, takes 0.9 s on the same host.
 MAX_SCAN_POINTS = 1024
 # Harmonics below this fraction of a row's largest count as zero.
 NEGLIGIBLE_HARMONIC = np.finfo(float).eps ** 2
 # Grid points solved per stacked pass.  Peak memory follows the block, not the
-# grid: at n = 64 a 32-point block peaks at 10.3 MiB, mostly its (32, 64, 64)
-# complex Gram and effective-state stacks and the Hermitian stack of both that
-# the checks decompose; the extrema take 2 MiB.
+# grid: at n = 64 a 32-point block peaks at 6.1 MiB, mostly its (32, 64, 64)
+# complex Gram and effective-state stacks; the extrema take 2 MiB.
 SCAN_BLOCK_POINTS = 32
 
 
@@ -407,10 +406,12 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     recorded.  Each visibility comes from the exact extrema, so the scan
     samples no pattern and takes no geometry.
 
-    The grid is evaluated in stacked blocks of SCAN_BLOCK_POINTS: rho is
-    checked once per block, and the Gram matrices, effective states and
-    extrema of a block are each solved in one pass.  A grid may hold at most
-    MAX_SCAN_POINTS values.  ``n``, ``flipped_path`` and every decohered path
+    Each grid point's state is formed, as build_pure_state forms one, and
+    held to the same checks: trace and unit diagonal, with no eigensolve.
+    The grid is evaluated in stacked blocks of SCAN_BLOCK_POINTS, and the
+    checks, Gram matrices, effective states and extrema of a block are each
+    made in one pass.  A grid may hold at most MAX_SCAN_POINTS values.
+    ``n``, ``flipped_path`` and every decohered path
     must be an integer (numpy integers included), or TypeError is raised; a
     path outside [0, n) raises IndexError and a repeated decohered path
     raises ValueError.
@@ -441,7 +442,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     for start in range(0, grid.size, SCAN_BLOCK_POINTS):
         grams = selective_decoherence_gram(
             n, decohered, grid[start:start + SCAN_BLOCK_POINTS, None, None])
-        _raise_first_failure(_run_checks(rho, grams)[0], start)
+        _check_formed(rho, grams)
         vis.append(_michelson(*_extrema(_harmonics(rho * grams))))
         coh.append(_coherence(rho, grams))
         dist.append(_distinguishability(rho, grams))

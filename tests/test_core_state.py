@@ -19,9 +19,9 @@ from dualitylab.core_state import (
     PSD_TOL,
     TRACE_TOL,
     _check,
+    _check_formed,
     _failed,
     _raise_first_failure,
-    _run_checks,
 )
 from dualitylab.pairwise import IDENTITY_TOL, SLACK_FLOOR, _check_pairs
 from dualitylab.sampling import (
@@ -136,6 +136,9 @@ class TestBuildPureState:
         ([[ISQ2, ISQ2]], [(1, 0), (0, 1)], DimensionError, "vector"),
         ([ISQ2, ISQ2], [(1, 0), [(0, 1)]], DimensionError, "vector"),
         ([ISQ2, ISQ2], [(1, 0), (np.nan, 1)], ValidationError, "finite"),
+        ([ISQ2, ISQ2], [[(1, 0), (1,)], (0, 1)], ValidationError, "array"),
+        (["a", 0], [(1, 0), (0, 1)], ValidationError, "array"),
+        ([10**400, 0], [(1, 0), (0, 1)], ValidationError, "array"),
     ])
     def test_rejection_names_its_check(self, amplitudes, detectors, error, check):
         with pytest.raises(ValidationError) as info:
@@ -343,42 +346,27 @@ class TestValidateDiagnostics:
         assert spectral_calls == {"eigvalsh": 1, "matrix_rank": 0, "matrices": 3}
 
 
-class TestStackedChecks:
-    """The checks over a (k, n, n) Gram stack with one shared rho, as the
-    flip/decohere scan runs them."""
+class TestFormedStateChecks:
+    """The checks of a formed state, as build_pure_state and the
+    flip/decohere scan run them, here over a (k, n, n) Gram stack."""
 
-    @staticmethod
-    def _stack():
+    def test_gram_stack_raises_its_first_failing_check(self):
         rng = np.random.default_rng(21)
-        return np.eye(3, dtype=complex) / 3, np.array([random_gram(3, rng) for _ in range(7)])
-
-    def test_residuals_equal_the_single_state_record(self):
-        rho, grams = self._stack()
-        grams[4] *= 1.1
-        residuals = _run_checks(rho, grams)[0]
-        for point, gram in enumerate(grams):
-            state = InterferometerState(rho=rho, gram=gram, purity_flag=False)
-            expected = [check.residual for check in validate(state).checks]
-            np.testing.assert_array_equal(residuals[point], expected)
-
-    def test_first_failing_point_is_named(self):
-        rho, grams = self._stack()
-        # Point 2 fails gram_psd; point 5 fails the earlier gram_unit_diagonal.
-        grams[2] = [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]
-        grams[5] = 1.5 * np.eye(3)
-        for start in (0, 40):
-            with pytest.raises(ValidationError) as info:
-                _raise_first_failure(_run_checks(rho, grams)[0], start)
-            assert info.value.check == "gram_psd"
-            assert f"at grid point {start + 2}:" in str(info.value)
-
-    def test_shared_rho_fails_at_the_first_point(self):
-        rho, grams = self._stack()
-        with pytest.raises(NormalizationError) as info:
-            _raise_first_failure(_run_checks(0.9 * rho, grams)[0], 10)
-        assert info.value.check == "rho_trace"
-        assert "at grid point 10:" in str(info.value)
-        assert info.value.residual == pytest.approx(0.1, abs=1e-12)
+        # Trace off by 0.9e-12: rho_trace passes, and so does a unit
+        # diagonal off by as much, but their product's trace is off by twice.
+        rho = np.full((3, 3), (1 + 0.9e-12) / 3, dtype=complex)
+        grams = np.array([random_gram(3, rng) for _ in range(7)])
+        _check_formed(rho, grams)
+        grams[2][np.diag_indices(3)] = 1 + 0.9e-12
+        grams[5][np.diag_indices(3)] = 1.5
+        for stack, scale, check, residual in [
+                (grams, 1.0, "gram_unit_diagonal", 0.5),
+                (np.delete(grams, 5, axis=0), 1.0, "effective_trace", 1.8e-12),
+                (grams, 0.9, "rho_trace", 0.1)]:
+            with pytest.raises(NormalizationError) as info:
+                _check_formed(scale * rho, stack)
+            assert info.value.check == check
+            assert info.value.residual == pytest.approx(residual, rel=1e-3)
 
 
 def _rule_cases(tolerance):

@@ -140,6 +140,15 @@ def _cases():
             ("povm_shape", message), id=f"misshaped_povm_{kind}-simulate")
     yield pytest.param(lambda _: inf_profile(), None, dualitylab.extract_visibility, NAN,
                        id="inf_profile-extract_visibility")
+    # Input numpy cannot convert is refused by the record itself.
+    ragged = [[0.5, 0], [0]]
+    for kind, build, field in (
+            ("state", lambda: InterferometerState(ragged, np.eye(2), False), "rho"),
+            ("mixed_state", lambda: dualitylab.build_mixed_state(ragged, np.eye(2)), "rho"),
+            ("povm", lambda: UqsdPovm(ragged, np.eye(2), np.eye(2), np.eye(2)), "e1")):
+        yield pytest.param(lambda _: None, None, lambda _, build=build: build(),
+                           ("array", f"{field} cannot be converted to a complex128 array"),
+                           id=f"ragged_{kind}-construction")
 
 
 def _assert_outcome(call, record, expected):

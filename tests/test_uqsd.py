@@ -109,6 +109,8 @@ class TestProblemValidation:
     @pytest.mark.parametrize("changes,error,check", [
         ({"d1": [[1, 0]]}, DimensionError, "vector"),
         ({"d2": [np.nan, 1]}, ValidationError, "finite"),
+        ({"d1": [[1, 0], [1]]}, ValidationError, "array"),
+        ({"d1": ["a", 0]}, ValidationError, "array"),
         # These sum to 1, so only the range rule fails.
         ({"p1": 1.2, "p2": -0.2}, ValidationError, "prior_range"),
     ])
