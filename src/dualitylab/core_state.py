@@ -39,38 +39,34 @@ UNIT_DIAGONAL_TOL = 1e-12
 # Spectral tolerances.
 PSD_TOL = 1e-10          # smallest eigenvalue may not drop below -PSD_TOL
 PURITY_TOL = 1e-10       # rank-one detection: top eigenvalue within this of 1
-_EPS = np.finfo(float).eps  # for the Gram rank rule of _diagnostics
+_EPS = np.finfo(float).eps  # for the Gram rank rule of _run_checks
 
 # The structural invariants in report order, each with its tolerance.
-_CHECKS = (
-    ("rho_hermitian", HERMITICITY_TOL),
-    ("rho_trace", TRACE_TOL),
-    ("rho_psd", -PSD_TOL),
-    ("gram_hermitian", HERMITICITY_TOL),
-    ("gram_unit_diagonal", UNIT_DIAGONAL_TOL),
-    ("gram_psd", -PSD_TOL),
-    ("effective_trace", TRACE_TOL),
-    ("effective_psd", -PSD_TOL),
-)
-_TOLERANCES = np.array([tolerance for _, tolerance in _CHECKS])
-# The pass rule of every tolerance check: a negative tolerance is a floor the
-# residual must stay at or above (a smallest eigenvalue, a slack), any other
-# a ceiling it must stay at or below (a defect).  NaN meets neither.  Scaled
-# by this sign, both read residual >= tolerance, the table form of the rule.
-_SIGNS = np.where(_TOLERANCES < 0, 1.0, -1.0)
+_CHECKS = {
+    "rho_hermitian": HERMITICITY_TOL,
+    "rho_trace": TRACE_TOL,
+    "rho_psd": -PSD_TOL,
+    "gram_hermitian": HERMITICITY_TOL,
+    "gram_unit_diagonal": UNIT_DIAGONAL_TOL,
+    "gram_psd": -PSD_TOL,
+    "effective_trace": TRACE_TOL,
+    "effective_psd": -PSD_TOL,
+}
 
 
-def _failed(residuals: np.ndarray) -> np.ndarray:
-    return ~(_SIGNS * residuals >= _SIGNS * _TOLERANCES)
+def _passes(residual: float, tolerance: float) -> bool:
+    """The pass rule of every tolerance check: a negative tolerance is a floor
+    the residual must stay at or above (a smallest eigenvalue, a slack), any
+    other a ceiling it must stay at or below (a defect).  NaN meets neither."""
+    return residual >= tolerance if tolerance < 0 else residual <= tolerance
 
 
 def _check(residual: float, tolerance: float, check: str, message,
            error=ValidationError) -> None:
-    """Raise ``error`` unless ``residual`` passes ``tolerance`` by the rule
-    above (``_failed`` is its table form); ``message()`` runs only on failure."""
-    if residual >= tolerance if tolerance < 0 else residual <= tolerance:
-        return
-    raise error(message(), check=check, residual=residual, tolerance=tolerance)
+    """Raise ``error`` unless ``residual`` passes ``tolerance`` by ``_passes``;
+    ``message()`` runs only on failure."""
+    if not _passes(residual, tolerance):
+        raise error(message(), check=check, residual=residual, tolerance=tolerance)
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -80,9 +76,12 @@ def _check_finite(values: np.ndarray, name: str) -> None:
 
 def _as_array(values, dtype, name: str) -> np.ndarray:
     """``values`` as a ``dtype`` array, as np.asarray gives it; input numpy
-    cannot convert, such as ragged rows, text or an integer past the float
-    range, raises ValidationError (check ``array``) naming ``name``."""
+    cannot convert, such as ragged rows, text, an integer past the float
+    range or complex input to a real ``dtype`` (numpy would drop its
+    imaginary part), raises ValidationError (check ``array``) naming ``name``."""
     try:
+        if np.dtype(dtype).kind == "f" and np.iscomplexobj(values):
+            raise TypeError("complex input to a real array")
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as error:
         raise ValidationError(f"{name} cannot be converted to a {np.dtype(dtype).name} array",
@@ -235,17 +234,14 @@ class InterferometerState:
     @cached_property
     def diagnostics(self) -> StateDiagnostics:
         """Invariant checks: stored by build_mixed_state, else made on first read."""
-        residuals, _, gram_eigs = _run_checks(self.rho, self.gram)
-        return _diagnostics(residuals, gram_eigs)
+        return _run_checks(self.rho, self.gram)[0]
 
 
 @_quiet
-def _run_checks(rho: np.ndarray,
-                gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of every structural invariant of one (n, n) state, one per
-    check in report order, and the spectra of rho and gram.  rho, gram and
-    the effective state are decomposed in one eigvalsh call; shapes are the
-    caller's to check.
+def _run_checks(rho: np.ndarray, gram: np.ndarray) -> tuple[StateDiagnostics, float]:
+    """The record of every structural invariant of one (n, n) state, in report
+    order, and the top eigenvalue of rho.  rho, gram and the effective state
+    are decomposed in one eigvalsh call; shapes are the caller's to check.
     """
     effective = rho * gram
     rho_eigs, gram_eigs, effective_eigs = _spectra(rho, gram, effective)
@@ -253,22 +249,16 @@ def _run_checks(rho: np.ndarray,
         _hermiticity_defect(rho), _trace_defect(rho), rho_eigs[0],
         _hermiticity_defect(gram), _unit_diagonal_defect(gram), gram_eigs[0],
         _trace_defect(effective), effective_eigs[0],
-    ])
-    return residuals, rho_eigs, gram_eigs
-
-
-def _diagnostics(residuals: np.ndarray, gram_eigs: np.ndarray) -> StateDiagnostics:
-    """The record of one state's checks."""
+    ]).tolist()
     checks = tuple(
-        _record(CheckResult, name=name, passed=not failed, residual=residual,
-                tolerance=tolerance)
-        for (name, tolerance), failed, residual
-        in zip(_CHECKS, _failed(residuals).tolist(), residuals.tolist()))
+        _record(CheckResult, name=name, passed=_passes(residual, tolerance),
+                residual=residual, tolerance=tolerance)
+        for (name, tolerance), residual in zip(_CHECKS.items(), residuals))
     # matrix_rank's rule for Hermitian input: |lambda| > max|lambda| * n * eps,
     # scaled by eps first so a huge max cannot overflow.
     size = np.abs(gram_eigs)
     rank = int(np.count_nonzero(size > size.max() * _EPS * size.size))
-    return StateDiagnostics(checks=checks, gram_rank=rank)
+    return StateDiagnostics(checks=checks, gram_rank=rank), float(rho_eigs[-1])
 
 
 # The invariants that hold a quantity to 1 fail as a NormalizationError.
@@ -277,18 +267,10 @@ _NORMALIZATION_CHECKS = ("rho_trace", "gram_unit_diagonal", "effective_trace")
 
 def _check_invariant(name: str, residual: float, where: str = "") -> None:
     """Raise unless ``residual`` passes the invariant ``name`` of ``_CHECKS``."""
-    tolerance = dict(_CHECKS)[name]
+    tolerance = _CHECKS[name]
     _check(residual, tolerance, name, lambda: f"invariant '{name}' failed{where}: "
            f"residual {residual!r} vs tolerance {tolerance!r}",
            NormalizationError if name in _NORMALIZATION_CHECKS else ValidationError)
-
-
-def _raise_first_failure(residuals: np.ndarray) -> None:
-    """Raise for the first failed check of one state's residuals."""
-    failed = _failed(residuals)
-    if failed.any():
-        column = int(np.argmax(failed))
-        _check_invariant(_CHECKS[column][0], float(residuals[column]))
 
 
 def _check_formed(rho: np.ndarray, gram: np.ndarray) -> None:
@@ -361,7 +343,9 @@ def build_mixed_state(rho, gram) -> InterferometerState:
 
     The record, built first, checks the shapes; then both matrices must be
     finite and pass their structural invariants (Hermitian, PSD, unit trace
-    / unit diagonal).  ``purity_flag`` is set iff rho is rank one.
+    / unit diagonal).  Their diagnostics record is made once and stored on
+    the state, and building raises the record's first failed check.
+    ``purity_flag`` is set iff rho is rank one.
 
     Raises
     ------
@@ -375,11 +359,10 @@ def build_mixed_state(rho, gram) -> InterferometerState:
     state = InterferometerState(rho, gram, False)
     _check_finite(state.rho, "rho")
     _check_finite(state.gram, "gram")
-    residuals, rho_eigs, gram_eigs = _run_checks(state.rho, state.gram)
-    diagnostics = _diagnostics(residuals, gram_eigs)
-    if not diagnostics.ok:
-        _raise_first_failure(residuals)
-    vars(state).update(purity_flag=bool(rho_eigs[-1] >= 1.0 - PURITY_TOL),
+    diagnostics, top_eigenvalue = _run_checks(state.rho, state.gram)
+    for check in diagnostics.failed()[:1]:
+        _check_invariant(check.name, check.residual)
+    vars(state).update(purity_flag=top_eigenvalue >= 1.0 - PURITY_TOL,
                        diagnostics=diagnostics)
     return state
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import InterferometerState, _check_finite, _check_formed, _is_integer, \
-    _quiet, _record, _store_read_only, effective_density
+from .core_state import InterferometerState, _as_array, _check_finite, _check_formed, \
+    _is_integer, _quiet, _record, _store_read_only, effective_density
 from .errors import DarkPatternError, DimensionError, ValidationError
 from .multipath import _coherence, _distinguishability
 from .pairwise import open_pair
@@ -414,7 +414,10 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     ``n``, ``flipped_path`` and every decohered path
     must be an integer (numpy integers included), or TypeError is raised; a
     path outside [0, n) raises IndexError and a repeated decohered path
-    raises ValueError.
+    raises ValueError.  A grid numpy cannot convert to floats (ragged rows,
+    text, complex values, an integer past the float range) raises
+    ValidationError (check ``array``); one that is not 1-d, is empty or too
+    long, or holds a value outside [0, 1] raises ValueError.
     """
     n = _path_count(n)
     if not 3 <= n <= MAX_SCAN_PATHS:
@@ -426,7 +429,7 @@ def mei_weitz_scan(n: int, flipped_path: int, decohered_paths,
     if not decohered or len(set(decohered)) < len(decohered):
         raise ValueError("decohered_paths must be a non-empty subset of distinct "
                          f"paths, got {list(decohered)}")
-    grid = np.asarray(gamma_grid, dtype=float)
+    grid = _as_array(gamma_grid, float, "gamma_grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("gamma_grid must be a non-empty 1-d sequence")
     if grid.size > MAX_SCAN_POINTS:

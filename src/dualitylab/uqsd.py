@@ -30,8 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import PSD_TOL, TRACE_TOL, UNIT_DIAGONAL_TOL, _check, _check_invariant, \
-    _detector_gram, _is_integer, _quiet, _spectra, _store_read_only, _unit_diagonal_defect
+from .core_state import PSD_TOL, TRACE_TOL, UNIT_DIAGONAL_TOL, _as_array, _check, \
+    _check_invariant, _detector_gram, _is_integer, _quiet, _spectra, _store_read_only, \
+    _unit_diagonal_defect
 from .errors import DimensionError, NormalizationError, RegimeError, ValidationError
 
 COMPLETENESS_TOL = 1e-10
@@ -50,12 +51,25 @@ class SuccessProbability(NamedTuple):
     in_optimal_regime: bool
 
 
-def _check_priors(p1: float, p2: float) -> None:
+def _as_real(value, name: str) -> float:
+    """``value`` as one float by the records' conversion rule; input that is
+    not a single real number raises ValidationError (check ``array``)."""
+    arr = _as_array(value, float, name)
+    if arr.ndim != 0:
+        raise ValidationError(f"{name} must be a single real number, got shape {arr.shape}",
+                              check="array")
+    return float(arr)
+
+
+def _check_priors(p1, p2) -> tuple[float, float]:
+    """The priors as the floats checked: each in [0, 1], summing to 1."""
+    p1, p2 = _as_real(p1, "p1"), _as_real(p2, "p2")
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise ValidationError(f"priors ({p1}, {p2}) must lie in [0, 1]",
                               check="prior_range")
     _check(abs(p1 + p2 - 1.0), TRACE_TOL, "prior_sum",
            lambda: f"priors sum to {p1 + p2!r}, expected 1", NormalizationError)
+    return p1, p2
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +80,7 @@ class UqsdProblem:
     information and cannot be discriminated at all.  ``d1`` and ``d2`` are
     stored as read-only copies and held to a pure state's detector rule:
     ``detector_dimension``, then ``gram_unit_diagonal`` on their Gram matrix.
+    ``p1`` and ``p2`` are stored as the floats their checks held.
     """
 
     d1: np.ndarray
@@ -79,7 +94,8 @@ class UqsdProblem:
         gram = _detector_gram((self.d1, self.d2), ("d1", "d2"))
         _check_invariant("gram_unit_diagonal", float(_unit_diagonal_defect(gram)),
                          " for d1 and d2")
-        _check_priors(self.p1, self.p2)
+        p1, p2 = _check_priors(self.p1, self.p2)
+        vars(self).update(p1=p1, p2=p2)
         if abs(np.vdot(self.d1, self.d2)) >= 1.0 - UNIT_DIAGONAL_TOL:
             raise ValidationError(
                 "d1 and d2 are (numerically) identical and cannot be "
@@ -114,8 +130,8 @@ def success_probability(p1: float, p2: float,
     bound is attainable (s <= min(sqrt(p1/p2), sqrt(p2/p1))).  The formula
     value is returned regardless of the flag.
     """
-    _check_priors(p1, p2)
-    s = float(overlap_magnitude)
+    p1, p2 = _check_priors(p1, p2)
+    s = _as_real(overlap_magnitude, "overlap_magnitude")
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"overlap magnitude {s!r} must lie in [0, 1]",
                               check="overlap_range")

@@ -18,14 +18,14 @@ from dualitylab.core_state import (
     _CHECKS,
     PSD_TOL,
     TRACE_TOL,
+    _NORMALIZATION_CHECKS,
     _check,
     _check_formed,
-    _failed,
-    _raise_first_failure,
 )
 from dualitylab.pairwise import IDENTITY_TOL, SLACK_FLOOR, _check_pairs
 from dualitylab.sampling import (
     random_amplitudes,
+    random_density_matrix,
     random_detectors,
     random_gram,
     random_mixed_state,
@@ -407,9 +407,45 @@ def _pair_outcome(visibility, distinguishability, slack):
     return outcomes[0]
 
 
+def _phased(mat, rng):
+    """``mat`` conjugated by a random diagonal unitary: same diagonal, same spectrum."""
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(mat)))
+    return mat * np.outer(phases, phases.conj())
+
+
+def _psd_edge(n, excess, rng):
+    """Unit diagonal and smallest eigenvalue -excess: (1 - w) I + w J, w = 1 + excess."""
+    w = 1.0 + excess
+    return _phased((1.0 - w) * np.eye(n) + w * np.ones((n, n)), rng)
+
+
+def _pushed_across(check, scale, rng):
+    """A hand-built (rho, gram) pair, n = 2..6, whose ``check`` residual is
+    ``scale`` times its tolerance's magnitude, up to rounding."""
+    n = int(rng.integers(2, 7))
+    delta = scale * abs(_CHECKS[check])
+    rho = random_density_matrix(n, rng).astype(complex)
+    gram = random_gram(n, rng).astype(complex)
+    if check in ("rho_hermitian", "gram_hermitian"):
+        (rho if check == "rho_hermitian" else gram)[0, 1] += 1j * delta
+    elif check in ("rho_trace", "gram_unit_diagonal"):
+        (rho if check == "rho_trace" else gram)[0, 0] += rng.choice([-1.0, 1.0]) * delta
+    elif check == "effective_trace":
+        # Each factor off by 0.6 delta passes; their product is off by 1.2 delta.
+        rho *= 1.0 + 0.6 * delta
+        gram[np.diag_indices(n)] = 1.0 + 0.6 * delta
+    elif check == "gram_psd":
+        gram = _psd_edge(n, delta, rng)
+    else:
+        # A uniform factor turns the other one into the effective state.
+        edge, uniform = _psd_edge(n, n * delta, rng), np.ones((n, n), dtype=complex)
+        rho, gram = (edge / n, uniform) if check == "rho_psd" else (uniform / n, edge)
+    return rho, gram
+
+
 class TestPassRule:
     """One rule for every residual held against a tolerance: the helper, the
-    state table and the pair pass decide each case alike."""
+    state record and the pair pass decide each case alike."""
 
     @pytest.mark.parametrize("tolerance", [-PSD_TOL, TRACE_TOL, SLACK_FLOOR, IDENTITY_TOL])
     def test_helper_applies_the_rule(self, tolerance):
@@ -430,20 +466,21 @@ class TestPassRule:
             assert (str(error), error.check, error.tolerance) == ("text", "probe", tolerance)
             np.testing.assert_array_equal(error.residual, residual)
 
-    @pytest.mark.parametrize("check", ["rho_trace", "rho_psd"])
+    @pytest.mark.parametrize("check", list(_CHECKS))
     def test_state_table_agrees(self, check):
-        column = [name for name, _ in _CHECKS].index(check)
-        tolerance = _CHECKS[column][1]
-        for residual, passes in _rule_cases(tolerance):
-            row = np.zeros(len(_CHECKS))
-            row[column] = residual
-            assert _failed(row).tolist() == [k == column and not passes
-                                             for k in range(len(_CHECKS))], residual
-            assert _passes(residual, tolerance) == passes
-            if not passes:
-                with pytest.raises(ValidationError) as info:
-                    _raise_first_failure(row)
-                assert info.value.check == check
+        # Seeded states pushed to either side of the check's tolerance: each
+        # check of the record decides as the rule does, and this one both ways.
+        rng = np.random.default_rng(33)
+        seen = set()
+        for _ in range(40):
+            rho, gram = _pushed_across(check, rng.uniform(0.5, 1.5), rng)
+            diagnostics = validate(InterferometerState(rho, gram, False))
+            assert [result.name for result in diagnostics.checks] == list(_CHECKS)
+            for result in diagnostics.checks:
+                assert result.tolerance == _CHECKS[result.name]
+                assert result.passed is _passes(result.residual, result.tolerance), result
+            seen.add(dict(zip(_CHECKS, diagnostics.checks))[check].passed)
+        assert seen == {True, False}
 
     def test_pair_pass_agrees(self):
         # closure = V + D + slack - 1 near zero is a multiple of 2^-52, so the
@@ -465,6 +502,66 @@ class TestPassRule:
             expected = ("pair_identity" if not identity
                         else None if passes else "pair_slack")
             assert _pair_outcome(1.0, 0.0, slack) == expected, slack
+
+
+def _faulty(faults, rng):
+    """A seeded (rho, gram) pair, n = 2..8, that breaks each check in
+    ``faults`` by far and, on its own, no check before it."""
+    n = int(rng.integers(2, 9))
+    rho = random_density_matrix(n, rng).astype(complex)
+    gram = random_gram(n, rng, rank=int(rng.integers(1, n + 1))).astype(complex)
+    if "rho_psd" in faults:
+        rho = _psd_edge(n, rng.uniform(0.01, 0.5), rng) / n
+    if "gram_psd" in faults:
+        gram = _psd_edge(n, rng.uniform(0.01, 0.5), rng)
+    for name, mat in (("rho", rho), ("gram", gram)):
+        if f"{name}_hermitian" in faults:
+            mat[0, 1] += 1j * rng.uniform(1e-6, 0.1)
+    if "rho_trace" in faults:
+        rho *= rng.choice([0.9, 1.1])
+    if "gram_unit_diagonal" in faults:
+        gram[np.diag_indices(n)] += rng.uniform(1e-6, 0.1, n)
+    return rho, gram
+
+
+class TestBuilderRaisesItsRecord:
+    """build_mixed_state raises the first failed check of the record it makes,
+    as validate reports it on the same state assembled by hand, and stores
+    that record on a state it builds."""
+
+    @pytest.mark.parametrize("faults", [
+        ("rho_hermitian",), ("rho_trace",), ("rho_psd",),
+        ("gram_hermitian",), ("gram_unit_diagonal",), ("gram_psd",),
+        ("rho_hermitian", "rho_trace"), ("rho_trace", "rho_psd"),
+        ("rho_psd", "gram_hermitian"), ("rho_trace", "gram_unit_diagonal"),
+        ("gram_hermitian", "gram_psd"), ("gram_unit_diagonal", "gram_psd"),
+    ], ids="+".join)
+    def test_first_failed_check_is_raised(self, faults):
+        rng = np.random.default_rng(34)
+        for _ in range(25):
+            rho, gram = _faulty(faults, rng)
+            first = validate(InterferometerState(rho, gram, False)).failed()[0]
+            assert first.name == min(faults, key=list(_CHECKS).index)
+            with pytest.raises(ValidationError) as info:
+                build_mixed_state(rho, gram)
+            error = info.value
+            assert type(error) is (NormalizationError if first.name in _NORMALIZATION_CHECKS
+                                   else ValidationError)
+            assert (error.check, error.residual, error.tolerance) \
+                == (first.name, first.residual, first.tolerance)
+            assert str(error) == (f"invariant '{first.name}' failed: residual "
+                                  f"{first.residual!r} vs tolerance {first.tolerance!r}")
+
+    def test_built_state_stores_the_record_it_would_make(self):
+        rng = np.random.default_rng(35)
+        for n in range(2, 33):
+            rho = random_density_matrix(n, rng)
+            gram = random_gram(n, rng, rank=int(rng.integers(1, n + 1)))
+            stored = build_mixed_state(rho, gram).diagnostics
+            lazy = InterferometerState(rho, gram, False).diagnostics
+            assert stored is not lazy and stored.gram_rank == lazy.gram_rank
+            assert [vars(result) for result in stored.checks] \
+                == [vars(result) for result in lazy.checks]
 
 
 class TestHandBuiltShapes:

@@ -660,6 +660,11 @@ class TestMeiWeitzScan:
         for grid in ([], [[0.5]]):
             with pytest.raises(ValueError, match="non-empty 1-d"):
                 mei_weitz_scan(4, 0, [1], grid)
+        # A grid numpy cannot convert to floats is named by the records' error.
+        for grid in ([10**400], ["a"], [[0.5], [0.5, 0.3]], np.array([0.5 + 1j])):
+            with pytest.raises(ValidationError, match=r"^gamma_grid\b") as excinfo:
+                mei_weitz_scan(4, 3, [3], grid)
+            assert excinfo.value.check == "array"
         # The scan takes no geometry: it samples no pattern.
         with pytest.raises(TypeError):
             mei_weitz_scan(4, 0, [1], [0.5], SlitGeometry(n=3))

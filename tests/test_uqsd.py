@@ -78,6 +78,14 @@ class TestSuccessProbability:
         with pytest.raises(ValidationError) as info:
             success_probability(0.5, 0.5, 1.5)
         assert info.value.check == "overlap_range"
+        # Each prior and the overlap is one real number, or the error names it.
+        for args, name in [(("a", 0.5, 0.3), "p1"), ((0.5, [0.5], 0.3), "p2"),
+                           ((0.5j, 0.5, 0.3), "p1"), ((0.5, 0.5, 10**400), "overlap_magnitude"),
+                           ((0.5, 0.5, [0.3]), "overlap_magnitude")]:
+            with pytest.raises(ValidationError, match=rf"^{name}\b") as info:
+                success_probability(*args)
+            assert type(info.value) is ValidationError
+            assert info.value.check == "array"
 
 
 class TestProblemValidation:
@@ -113,12 +121,22 @@ class TestProblemValidation:
         ({"d1": ["a", 0]}, ValidationError, "array"),
         # These sum to 1, so only the range rule fails.
         ({"p1": 1.2, "p2": -0.2}, ValidationError, "prior_range"),
+        # A prior is one real number, converted as the records convert.
+        ({"p1": "a"}, ValidationError, "array"),
+        ({"p1": [0.5]}, ValidationError, "array"),
+        ({"p1": 0.5j}, ValidationError, "array"),
+        ({"p1": np.complex128(0.5 + 0.5j)}, ValidationError, "array"),
+        ({"p2": 10**400}, ValidationError, "array"),
     ])
     def test_rejection_names_its_check(self, changes, error, check):
         with pytest.raises(ValidationError) as info:
             UqsdProblem(**{"d1": E1, "d2": E2, "p1": 0.5, "p2": 0.5, **changes})
         assert type(info.value) is error
         assert info.value.check == check
+
+    def test_priors_are_stored_as_the_floats_checked(self):
+        problem = UqsdProblem(d1=E1, d2=E2, p1=1, p2=np.float32(0.0))
+        assert [(type(p), p) for p in (problem.p1, problem.p2)] == [(float, 1.0), (float, 0.0)]
 
 
 class TestPureStateDetectorRule:
