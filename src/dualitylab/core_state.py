@@ -88,13 +88,15 @@ def _as_array(values, dtype, name: str) -> np.ndarray:
                               check="array") from error
 
 
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    vec = _as_array(values, complex, name)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 1-d vector, got shape {vec.shape}",
+def _as_complex(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a finite complex array with ``ndim`` non-empty axes, else
+    DimensionError (check ``vector``): amplitudes have 1, a detector set 2."""
+    arr = _as_array(values, complex, name)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionError(f"{name} must be a non-empty {ndim}-d array, got shape {arr.shape}",
                              check="vector")
-    _check_finite(vec, name)
-    return vec
+    _check_finite(arr, name)
+    return arr
 
 
 def _quiet(fn):
@@ -285,17 +287,12 @@ def _check_formed(rho: np.ndarray, gram: np.ndarray) -> None:
         _check_invariant(name, float(residual))
 
 
-def _detector_gram(vectors, names) -> np.ndarray:
-    """gram[i, j] = <d_j|d_i> of the detector ``vectors``, each checked under its
-    name in ``names``; all share one length, else ``detector_dimension``."""
-    vecs = [_as_complex_vector(vec, name) for vec, name in zip(vectors, names)]
-    dim = vecs[0].size
-    for vec, name in zip(vecs, names):
-        if vec.size != dim:
-            raise DimensionError(f"{name} has length {vec.size}, expected {dim}",
-                                 check="detector_dimension")
-    stacked = np.vstack(vecs)
-    return stacked @ stacked.conj().T
+def _detector_gram(vectors, name: str) -> np.ndarray:
+    """gram[i, j] = <d_j|d_i> of the detector ``vectors``, one per row, converted
+    and checked as one array named ``name``.  The stack is made C-contiguous so
+    the product rounds alike for every input layout."""
+    stack = np.ascontiguousarray(_as_complex(vectors, name, 2))
+    return stack @ stack.conj().T
 
 
 @_quiet
@@ -311,8 +308,8 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
     ----------
     amplitudes : array_like of complex, length n
         Path amplitudes c_k with sum |c_k|^2 = 1.
-    detectors : sequence of n array_like complex vectors, common length m
-        Normalized detector states |d_k>.
+    detectors : (n, m) array_like of complex
+        Normalized detector states |d_k>, one detector state per row.
 
     Returns
     -------
@@ -325,14 +322,13 @@ def build_pure_state(amplitudes, detectors) -> InterferometerState:
         A trace (of rho or rho * gram) or a detector's squared norm (a Gram
         diagonal entry) is not 1.
     DimensionError
-        Detector count or lengths mismatched, or the record's shape error.
+        Detector count mismatched, or the record's shape error.
     """
-    c = _as_complex_vector(amplitudes, "amplitudes")
-    detectors = list(detectors)
-    if len(detectors) != c.size:
-        raise DimensionError(f"got {len(detectors)} detector states for {c.size} paths",
+    c = _as_complex(amplitudes, "amplitudes", 1)
+    gram = _detector_gram(detectors, "detectors")
+    if len(gram) != c.size:
+        raise DimensionError(f"got {len(gram)} detector states for {c.size} paths",
                              check="detector_count")
-    gram = _detector_gram(detectors, [f"detectors[{k}]" for k in range(c.size)])
     state = InterferometerState(rho=np.outer(c, c.conj()), gram=gram, purity_flag=True)
     _check_formed(state.rho, state.gram)
     return state

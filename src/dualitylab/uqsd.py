@@ -79,7 +79,7 @@ class UqsdProblem:
     Identical (|overlap| = 1) states are rejected: they carry no which-path
     information and cannot be discriminated at all.  ``d1`` and ``d2`` are
     stored as read-only copies and held to a pure state's detector rule:
-    ``detector_dimension``, then ``gram_unit_diagonal`` on their Gram matrix.
+    converted as one array, then ``gram_unit_diagonal`` on their Gram matrix.
     ``p1`` and ``p2`` are stored as the floats their checks held.
     """
 
@@ -91,7 +91,7 @@ class UqsdProblem:
     @_quiet
     def __post_init__(self) -> None:
         _store_read_only(self, complex, "d1", "d2")
-        gram = _detector_gram((self.d1, self.d2), ("d1", "d2"))
+        gram = _detector_gram((self.d1, self.d2), "d1 and d2")
         _check_invariant("gram_unit_diagonal", float(_unit_diagonal_defect(gram)),
                          " for d1 and d2")
         p1, p2 = _check_priors(self.p1, self.p2)

@@ -14,6 +14,7 @@ from dualitylab import (
     effective_density,
     validate,
 )
+from dualitylab import core_state
 from dualitylab.core_state import (
     _CHECKS,
     PSD_TOL,
@@ -79,9 +80,12 @@ class TestBuildPureState:
             build_pure_state([0.9, 0.1], [(1, 0), (0, 1)])
 
     def test_mismatched_detector_dimensions(self):
-        with pytest.raises(DimensionError) as info:
+        # The detector set is converted as one array, so ragged rows cannot be.
+        with pytest.raises(ValidationError) as info:
             build_pure_state([ISQ2, ISQ2], [(1, 0), (0, 1, 0)])
-        assert info.value.check == "detector_dimension"
+        assert type(info.value) is ValidationError
+        assert info.value.check == "array"
+        assert str(info.value).startswith("detectors ")
 
     def test_wrong_detector_count(self):
         with pytest.raises(DimensionError) as info:
@@ -134,17 +138,61 @@ class TestBuildPureState:
 
     @pytest.mark.parametrize("amplitudes,detectors,error,check", [
         ([[ISQ2, ISQ2]], [(1, 0), (0, 1)], DimensionError, "vector"),
-        ([ISQ2, ISQ2], [(1, 0), [(0, 1)]], DimensionError, "vector"),
+        ([ISQ2, ISQ2], [(1, 0), [(0, 1)]], ValidationError, "array"),
         ([ISQ2, ISQ2], [(1, 0), (np.nan, 1)], ValidationError, "finite"),
         ([ISQ2, ISQ2], [[(1, 0), (1,)], (0, 1)], ValidationError, "array"),
         (["a", 0], [(1, 0), (0, 1)], ValidationError, "array"),
         ([10**400, 0], [(1, 0), (0, 1)], ValidationError, "array"),
+        ([ISQ2, ISQ2], iter([(1, 0), (0, 1)]), ValidationError, "array"),
+        ([ISQ2, ISQ2], [[], []], DimensionError, "vector"),
+        ([ISQ2, ISQ2], np.eye(2).reshape(2, 1, 2), DimensionError, "vector"),
+        ([ISQ2, ISQ2], np.array([[1, 0], [0, np.nan]]), ValidationError, "finite"),
     ])
     def test_rejection_names_its_check(self, amplitudes, detectors, error, check):
         with pytest.raises(ValidationError) as info:
             build_pure_state(amplitudes, detectors)
         assert type(info.value) is error
         assert info.value.check == check
+        # The error names its input: the detectors wherever the amplitudes are valid.
+        culprit = "detectors" if all(isinstance(a, float) for a in amplitudes) else "amplitudes"
+        assert str(info.value).startswith(f"{culprit} ")
+
+    def test_one_conversion_per_detector_set(self, monkeypatch):
+        # The detectors are converted as one array, so building converts as
+        # often at 32 paths as at 2.
+        calls = []
+        convert = core_state._as_array
+        monkeypatch.setattr(core_state, "_as_array",
+                            lambda *args: calls.append(args[2]) or convert(*args))
+        rng = np.random.default_rng(5)
+        counts = []
+        for n in (2, 32):
+            calls.clear()
+            build_pure_state(random_amplitudes(n, rng), list(random_detectors(n, 3, rng)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], calls
+
+    def test_every_detector_layout_gives_the_per_row_gram(self):
+        # Bit for bit: the Gram matrix of one converted stack equals that of
+        # the rows converted one at a time, whatever the input's layout.
+        rng = np.random.default_rng(41)
+        layouts = {
+            "C": lambda d: d,
+            "Fortran": np.asfortranarray,
+            "strided view": lambda d: np.repeat(np.repeat(d, 2, axis=0), 3, axis=1)[::2, ::3],
+            "list of lists": lambda d: d.tolist(),
+            "list of arrays": list,
+            "tuple of tuples": lambda d: tuple(map(tuple, d.tolist())),
+        }
+        for n in range(2, 41):
+            c = random_amplitudes(n, rng)
+            d = random_detectors(n, int(rng.integers(1, 6)), rng)
+            for layout, make in layouts.items():
+                rows = make(d)
+                stack = np.vstack([np.asarray(row, dtype=complex) for row in rows])
+                expected = stack @ stack.conj().T
+                state = build_pure_state(c, rows)
+                assert state.gram.tobytes() == expected.tobytes(), (n, layout)
 
 
 class TestBuildMixedState:

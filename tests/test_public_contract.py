@@ -1,6 +1,10 @@
 """The public names: the package's ``__all__`` and the CLI's mode list."""
 
 import inspect
+import pathlib
+import re
+
+import pytest
 
 import dualitylab
 from dualitylab import cli, pairwise
@@ -46,3 +50,19 @@ def test_cli_modes_formats_and_subcommands_agree():
     assert tuple(subcommands) == CLI_MODES
     assert cli.FORMAT_BY_MODE == {"report": "json", "pairs": "csv", "fringes": "csv",
                                   "meiweitz": "csv", "uqsd": "json"}
+
+
+def test_readme_quickstart_runs_and_its_comments_hold():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    report = namespace["report"]
+    # C = D_Q = 0.5, margin 0 (pure state)
+    assert report.coherence == pytest.approx(0.5, abs=1e-12)
+    assert report.distinguishability == pytest.approx(0.5, abs=1e-12)
+    assert report.duality_margin == pytest.approx(0.0, abs=1e-12)
+    # the pair's NamedTuple equals its report row
+    assert namespace["pair"] == report.pairwise[0]

@@ -100,14 +100,18 @@ class TestProblemValidation:
         assert info.value.check == "gram_unit_diagonal"
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError) as info:
+        # d1 and d2 are converted as one array, so unequal lengths cannot be.
+        with pytest.raises(ValidationError) as info:
             UqsdProblem(d1=E1, d2=np.array([0, 0, 1.0]), p1=0.5, p2=0.5)
-        assert info.value.check == "detector_dimension"
+        assert type(info.value) is ValidationError
+        assert info.value.check == "array"
+        assert str(info.value).startswith("d1 and d2 ")
 
     def test_dimension_is_checked_before_norm(self):
-        with pytest.raises(DimensionError) as info:
+        with pytest.raises(ValidationError) as info:
             UqsdProblem(d1=np.array([0.5, 0.5]), d2=np.array([0, 0, 1.0]), p1=0.5, p2=0.5)
-        assert info.value.check == "detector_dimension"
+        assert type(info.value) is ValidationError
+        assert info.value.check == "array"
 
     def test_prior_sum(self):
         with pytest.raises(NormalizationError) as info:
@@ -115,8 +119,12 @@ class TestProblemValidation:
         assert info.value.check == "prior_sum"
 
     @pytest.mark.parametrize("changes,error,check", [
-        ({"d1": [[1, 0]]}, DimensionError, "vector"),
+        ({"d1": [[1, 0]]}, ValidationError, "array"),
         ({"d2": [np.nan, 1]}, ValidationError, "finite"),
+        ({"d1": iter([1, 0])}, ValidationError, "array"),
+        ({"d1": [], "d2": []}, DimensionError, "vector"),
+        ({"d1": [[1, 0]], "d2": [[0, 1]]}, DimensionError, "vector"),
+        ({"d1": np.array([np.nan, 1])}, ValidationError, "finite"),
         ({"d1": [[1, 0], [1]]}, ValidationError, "array"),
         ({"d1": ["a", 0]}, ValidationError, "array"),
         # These sum to 1, so only the range rule fails.
