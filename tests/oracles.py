@@ -104,3 +104,26 @@ def random_circulant_gram(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues[rng.permutation(n)[:int(rng.integers(1, n))]] = 0.0
     eigenvalues *= n / eigenvalues.sum()
     return circulant_gram(eigenvalues), eigenvalues
+
+
+def symmetry_band_state(n: int, shared_detectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A valid (rho, gram) pair whose path probabilities sit just inside the
+    SYMMETRY_TOL = 1e-10 band around 1/n without being equal (n even).
+
+    rho = (1/2 + eps)|psi><psi| + (1/2 - eps)(2/n) sum_{i >= n/2} |i><i|, with
+    psi uniform on the first n/2 paths and eps = 0.9e-10 n/2, so every
+    |rho_ii - 1/n| is 0.9e-10 (up to rounding).  The plain pair average of the
+    visibilities misses C here by about n 1e-10 / 4.  The Gram matrix is all
+    ones, or, with ``shared_detectors``, one detector state for the first n/2
+    paths and orthogonal ones for the rest.
+    """
+    half = n // 2
+    eps = 0.9e-10 * half
+    psi = np.zeros(n)
+    psi[:half] = 1.0 / math.sqrt(half)
+    rho = (0.5 + eps) * np.outer(psi, psi)
+    rho[half:, half:] += (0.5 - eps) / half * np.eye(half)
+    if not shared_detectors:
+        return rho, np.ones((n, n))
+    labels = np.r_[np.zeros(half, dtype=int), np.arange(1, half + 1)]
+    return rho, (labels[:, None] == labels[None, :]).astype(float)

@@ -23,6 +23,8 @@ from dualitylab.cli import MAX_STATE_PATHS, ReportDocument, build_report_documen
     parse_config
 from dualitylab.fringes import DEFAULT_PHASE_STEPS, MAX_SCAN_PATHS, MAX_SCAN_POINTS
 
+from oracles import symmetry_band_state
+
 A3 = 0.5773502691896258        # 1/sqrt(3)
 B = 0.8660254037844386         # sqrt(3)/2
 
@@ -537,6 +539,19 @@ class TestExitCodes:
         config_path = write_config(tmp_path, "c.json", config)
         assert main(["report", "--config", config_path]) == 3
         assert "rho_trace" in capsys.readouterr().err
+
+    def test_symmetry_band_state_is_reported(self, tmp_path):
+        # Path probabilities within SYMMETRY_TOL of 1/8 but not equal: valid,
+        # and the pair aggregates reproduce C and D_Q.
+        rho, gram = symmetry_band_state(8, shared_detectors=False)
+        state = {"rho": rho.tolist(), "gram": gram.tolist()}
+        for mode, name in (("report", "r.json"), ("pairs", "p.csv")):
+            config = {"mode": mode, "state": state,
+                      "output": {"format": cli.FORMAT_BY_MODE[mode],
+                                 "path": str(tmp_path / name)}}
+            assert main([mode, "--config", write_config(tmp_path, "c.json", config)]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["duality"]["coherence"] == coherence(build_mixed_state(rho, gram))
 
     @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
     def test_pure_and_matrix_forms_of_a_state_exit_alike(self, tmp_path, capsys, flags):

@@ -32,7 +32,7 @@ from dualitylab.sampling import (
     random_symmetric_pure_state,
 )
 
-from oracles import circulant_gram, pair_sum_lhs, random_circulant_gram
+from oracles import circulant_gram, pair_sum_lhs, random_circulant_gram, symmetry_band_state
 
 ISQ3 = 1.0 / np.sqrt(3.0)
 TRINE_DETECTORS = [(1, 0), (0.5, np.sqrt(3) / 2), (0.5, -np.sqrt(3) / 2)]
@@ -138,6 +138,19 @@ class TestAggregation:
             assert report.symmetric_sum_lhs is not None
             assert report.symmetric_sum_lhs == pytest.approx(
                 report.weighted_sum_lhs, abs=1e-10)
+
+    @pytest.mark.parametrize("shared_detectors", [False, True])
+    @pytest.mark.parametrize("n", [8, 32, 64, 256])
+    def test_symmetry_band_states_aggregate_exactly(self, n, shared_detectors):
+        # Inside the SYMMETRY_TOL band the plain pair average misses C (and,
+        # with shared detectors, D_Q) by about n * SYMMETRY_TOL / 4.
+        state = build_mixed_state(*symmetry_band_state(n, shared_detectors))
+        assert is_symmetric(state)
+        report = duality_report(state)
+        assert report.is_symmetric
+        assert abs(coherence_from_pair_visibilities(state) - coherence(state)) <= 1e-10
+        assert abs(distinguishability_from_pairs(state)
+                   - distinguishability(state)) <= 1e-10
 
 
 class TestDualityReport:

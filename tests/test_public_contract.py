@@ -1,6 +1,7 @@
 """The public names: the package's ``__all__`` and the CLI's mode list."""
 
 import inspect
+import json
 import pathlib
 import re
 
@@ -66,3 +67,35 @@ def test_readme_quickstart_runs_and_its_comments_hold():
     assert report.duality_margin == pytest.approx(0.0, abs=1e-12)
     # the pair's NamedTuple equals its report row
     assert namespace["pair"] == report.pairwise[0]
+
+
+def _readme_blocks(language: str) -> list[str]:
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(rf"^```{language}\n(.*?)^```", readme.read_text(), re.M | re.S)
+
+
+@pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+def test_readme_schema_examples_run(tmp_path, monkeypatch, capsys, flags):
+    # Each example writes its relative output path into tmp_path.
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks("json")
+    assert len(blocks) == 5
+    for index, block in enumerate(blocks):
+        config_path = tmp_path / f"example{index}.json"
+        config_path.write_text(block, encoding="utf-8")
+        config = json.loads(block)
+        assert cli.main([config["mode"], "--config", str(config_path), *flags]) == 0, block
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / config["output"]["path"]).exists() is not bool(flags)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # The commands name configs relative to the repository root.
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+    pattern = re.compile(r"^dualitylab (\w+) +--config (\S+) +--output (\S+)$", re.M)
+    commands = [match for block in _readme_blocks("sh") for match in pattern.findall(block)]
+    assert [mode for mode, _, _ in commands] == list(CLI_MODES)
+    for mode, config, output in commands:
+        target = tmp_path / output
+        assert cli.main([mode, "--config", config, "--output", str(target)]) == 0
+        assert target.stat().st_size > 0
